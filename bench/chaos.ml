@@ -6,13 +6,15 @@
    1. Containment — plant one always-raising trial, one raise-once trial and
       one deadline-overrun trial. The campaign must complete with exactly one
       quarantined Infrastructure_failure, every other record byte-identical
-      to an undisturbed run, identical results under --jobs 1 and --jobs 4,
-      and summary percentages computed over non-quarantined trials only.
+      to an undisturbed run, identical results and supervision counts on
+      one worker and on a 2-worker fabric, and summary percentages computed
+      over non-quarantined trials only.
 
-   2. Checkpoint/resume — journal an undisturbed run, tear its tail at every
-      truncation point that leaves a partial frame, then resume under jobs
-      1/2/4. Every resume must reproduce the uninterrupted run's records,
-      collector stats, traces and telemetry byte for byte.
+   2. Checkpoint/resume — journal an undisturbed run, tear its tail at a
+      few truncation points that leave a partial frame, then resume on one
+      worker or on a 2-worker fabric. Every resume must reproduce the
+      uninterrupted run's records, collector stats, traces and telemetry
+      byte for byte.
 
    3. Collector outage — the full seeded drill plan, outage window included:
       the campaign must still complete, and no trial inside the window can
@@ -21,7 +23,7 @@
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
 module Target = Ferrite_injection.Target
-module Executor = Ferrite_injection.Executor
+module Fabric = Ferrite_fabric.Fabric
 module Supervisor = Ferrite_injection.Supervisor
 module Outcome = Ferrite_injection.Outcome
 module Telemetry = Ferrite_trace.Telemetry
@@ -32,7 +34,7 @@ let cfg =
   { (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:24) with
     Campaign.seed = 0x2004L }
 
-(* tl_boots is the one telemetry field allowed to differ between executors
+(* tl_boots is the one telemetry field allowed to differ between worker counts
    (and between a resumed and an uninterrupted run, which boots fewer
    machines) — normalize it away before comparing. *)
 let boots_blind t = Telemetry.with_boots t 0
@@ -57,13 +59,13 @@ let containment () =
   in
   let undisturbed = Campaign.run cfg in
   let seq = Campaign.run ~supervision cfg in
-  let par = Campaign.run ~supervision ~executor:(Executor.of_jobs 4) cfg in
+  let par, _ = Fabric.run ~workers:2 ~supervision cfg in
   if seq.Campaign.records <> par.Campaign.records then
-    fail "containment: records differ between --jobs 1 and --jobs 4";
+    fail "containment: records differ between --jobs 1 and --jobs 2";
   if seq.Campaign.traces <> par.Campaign.traces then
-    fail "containment: traces differ between --jobs 1 and --jobs 4";
+    fail "containment: traces differ between --jobs 1 and --jobs 2";
   if boots_blind seq.Campaign.telemetry <> boots_blind par.Campaign.telemetry then
-    fail "containment: telemetry differs between --jobs 1 and --jobs 4";
+    fail "containment: telemetry differs between --jobs 1 and --jobs 2";
   let q = List.filter quarantined seq.Campaign.records in
   (match q with
   | [ { Outcome.r_outcome = Outcome.Infrastructure_failure { if_attempts = 3; _ }; _ } ] ->
@@ -90,16 +92,20 @@ let containment () =
     + s.Campaign.hang_or_unknown
     <> s.Campaign.activated
   then fail "containment: summary categories do not partition the activated set";
-  (match seq.Campaign.supervision with
-  | Some sup ->
-    if List.length sup.Supervisor.sup_quarantined <> 1 then
-      fail "containment: supervisor report disagrees on quarantine count";
-    (* dead burns 2 retries before quarantine; flaky and slow one each *)
-    if sup.Supervisor.sup_retries <> 4 then
-      fail "containment: %d retries recorded, wanted 4" sup.Supervisor.sup_retries
-  | None -> fail "containment: supervised run returned no supervision report");
+  List.iter
+    (fun (jobs, (r : Campaign.result)) ->
+      match r.Campaign.supervision with
+      | Some sup ->
+        if List.length sup.Supervisor.sup_quarantined <> 1 then
+          fail "containment: --jobs %d supervisor report disagrees on quarantine count" jobs;
+        (* dead burns 2 retries before quarantine; flaky and slow one each *)
+        if sup.Supervisor.sup_retries <> 4 then
+          fail "containment: --jobs %d recorded %d retries, wanted 4" jobs
+            sup.Supervisor.sup_retries
+      | None -> fail "containment: --jobs %d returned no supervision report" jobs)
+    [ (1, seq); (2, par) ];
   Printf.printf
-    "chaos-smoke: containment ok (1 quarantined of %d, retried trials clean, jobs 1 == jobs 4)\n"
+    "chaos-smoke: containment ok (1 quarantined of %d, retried trials clean, jobs 1 == jobs 2)\n"
     cfg.Campaign.injections
 
 (* --- drill 2: checkpoint / resume after a torn tail --- *)
@@ -144,10 +150,7 @@ let resume () =
               output_string oc data;
               close_out oc;
               truncate_to copy cut;
-              let r =
-                Campaign.run ~supervision:(supervision copy)
-                  ~executor:(Executor.of_jobs jobs) cfg
-              in
+              let r, _ = Fabric.run ~workers:jobs ~supervision:(supervision copy) cfg in
               if r.Campaign.records <> reference.Campaign.records then
                 fail "resume: cut=%d jobs=%d records differ from uninterrupted run" cut jobs;
               if r.Campaign.collector <> reference.Campaign.collector then
@@ -168,9 +171,9 @@ let resume () =
         [
           (size - 3, 1, true);
           (size * 2 / 3, 2, true);
-          (Ferrite_injection.Journal.header_size + 1, 4, false);
+          (Ferrite_injection.Journal.header_size + 1, 2, false);
         ]);
-  Printf.printf "chaos-smoke: resume ok (torn tails recovered; jobs 1/2/4 identical)\n"
+  Printf.printf "chaos-smoke: resume ok (torn tails recovered; jobs 1/2 identical)\n"
 
 (* --- drill 3: collector outage window --- *)
 

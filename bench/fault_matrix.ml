@@ -6,14 +6,14 @@
    - every cell's records all carry that cell's model tag (the per-model
      Table 5/6 breakouts depend on the tag surviving the engine),
    - the legacy cell (single-bit transient, uniform targeting) is
-     bit-identical between the sequential and parallel executors, like the
-     main bench-smoke gate but through the sweep path, and
+     bit-identical between a sequential run and a 2-worker fabric run, like
+     the main bench-smoke gate but through the sweep path, and
    - the per-model breakout report renders a row for each model. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
 module Target = Ferrite_injection.Target
-module Executor = Ferrite_injection.Executor
+module Fabric = Ferrite_fabric.Fabric
 module Fault_model = Ferrite_injection.Fault_model
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("fault-matrix: " ^ s); exit 1) fmt
@@ -51,9 +51,9 @@ let () =
     arches;
   let legacy = cell ~arch:Image.Cisc ~model:Fault_model.Single_bit_transient in
   let seq = Campaign.run legacy in
-  let par = Campaign.run ~executor:(Executor.of_jobs 4) legacy in
+  let par, _ = Fabric.run ~workers:2 legacy in
   if seq.Campaign.records <> par.Campaign.records then
-    fail "legacy cell differs between sequential and parallel executors";
+    fail "legacy cell differs between sequential and fabric runs";
   Printf.printf "fault-matrix ok: %d cells across %d models x %d arches\n" !cells
     (List.length Fault_model.sweep_models)
     (List.length arches)

@@ -7,9 +7,6 @@
                           ~17,500 injections; 1.0 reproduces the full
                           115,000-injection study)
      FERRITE_BENCH_SEED   campaign seed (default 0x2004)
-     FERRITE_BENCH_DOMAINS  domain count for the parallel-executor throughput
-                          comparison (default 4); results are written to
-                          BENCH_campaign.json
      FERRITE_SKIP_MICRO   set to skip the Bechamel micro-benchmarks *)
 
 open Bechamel
@@ -20,7 +17,7 @@ module Campaign = Ferrite_injection.Campaign
 module Target = Ferrite_injection.Target
 module Engine = Ferrite_injection.Engine
 module Collector = Ferrite_injection.Collector
-module Executor = Ferrite_injection.Executor
+module Fabric = Ferrite_fabric.Fabric
 module Crash_cause = Ferrite_injection.Crash_cause
 module Workload = Ferrite_workload.Workload
 module Runner = Ferrite_workload.Runner
@@ -35,11 +32,6 @@ let seed =
   match Sys.getenv_opt "FERRITE_BENCH_SEED" with
   | Some s -> (try Int64.of_string s with _ -> 0x2004L)
   | None -> 0x2004L
-
-let domains =
-  match Sys.getenv_opt "FERRITE_BENCH_DOMAINS" with
-  | Some s -> (try max 2 (int_of_string s) with _ -> 4)
-  | None -> 4
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -77,25 +69,16 @@ let run_suites () =
   (p4, g4)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign throughput: sequential vs parallel executor                *)
+(* Campaign throughput: sequential vs a 2-worker process fabric        *)
 (* ------------------------------------------------------------------ *)
 
 let run_campaign_throughput () =
-  (* [of_jobs] clamps the requested domain count to the cores actually
-     available, so the "parallel" row degrades to Sequential on a 1-core
-     host instead of paying for idle workers' boots *)
-  let executor = Executor.of_jobs domains in
-  (* what [of_jobs] actually gave us — a "parallel" row that silently ran
-     Sequential must be reported as such, not as a speedup *)
-  let effective_domains =
-    match executor with
-    | Executor.Sequential -> 1
-    | Executor.Parallel { domains } -> domains
-  in
-  let ran_parallel = effective_domains > 1 in
-  section
-    (Printf.sprintf "Campaign throughput (sequential vs %s)"
-       (Executor.describe executor));
+  let workers = 2 in
+  let cores = Domain.recommended_domain_count () in
+  (* two workers on one core take turns: that row is not a parallel run and
+     must not be reported as a speedup *)
+  let ran_parallel = cores >= workers in
+  section (Printf.sprintf "Campaign throughput (sequential vs fabric/%d workers)" workers);
   let n = max 60 (int_of_float (1000.0 *. scale)) in
   let cfg =
     { (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:n) with
@@ -125,21 +108,11 @@ let run_campaign_throughput () =
       ~finally:(fun () -> Ferrite_machine.Memory.set_superblocks_default true)
       (fun () -> time (fun () -> Campaign.run cfg))
   in
-  let rp, tp = time (fun () -> Campaign.run ~executor cfg) in
-  (* the process-fleet row: same campaign over the distributed fabric, two
-     forked workers; byte-identity is the fabric's contract, so it is
-     asserted here alongside the timing *)
-  let dist_workers = 2 in
-  let (rd, dist_report), td =
-    time (fun () -> Ferrite_fabric.Fabric.run_campaign ~workers:dist_workers cfg)
-  in
+  let (rp, fabric_report), tp = time (fun () -> Fabric.run_campaign ~workers cfg) in
   let rate t = float_of_int n /. t in
-  let cores = Domain.recommended_domain_count () in
   let identical =
-    rs.Campaign.records = rp.Campaign.records
-    && rs.Campaign.records = r0.Campaign.records
+    rs.Campaign.records = rp.Campaign.records && rs.Campaign.records = r0.Campaign.records
   in
-  let dist_identical = rd.Campaign.records = rs.Campaign.records in
   let cache = rs.Campaign.cache in
   let sb_hit_rate = Ferrite_machine.Cache_stats.sb_hit_rate cache in
   Printf.printf "%-24s %10.1f inj/s   (%d injections in %.2f s)\n"
@@ -147,28 +120,21 @@ let run_campaign_throughput () =
   Printf.printf "%-24s %10.1f inj/s   (%d injections in %.2f s)\n"
     "sequential/no-superblocks" (rate t0) n t0;
   Printf.printf "%-24s %10.1f inj/s   (%d injections in %.2f s)\n"
-    (Executor.describe executor) (rate tp) n tp;
-  Printf.printf "%-24s %10.1f inj/s   (%d injections in %.2f s)\n"
-    (Printf.sprintf "fabric/%d workers" dist_workers)
-    (rate td) n td;
+    (Printf.sprintf "fabric/%d workers" workers)
+    (rate tp) n tp;
   Printf.printf "superblock speedup %.2fx (sequential, translated vs precise)\n"
     (t0 /. ts);
-  Printf.printf
-    "fabric speedup %.2fx over %d worker process(es); records identical: %b \
-     (%d fresh, %d duplicate(s) dropped)\n"
-    (ts /. td) dist_workers dist_identical
-    dist_report.Ferrite_fabric.Fabric.fb_results
-    dist_report.Ferrite_fabric.Fabric.fb_dup_results;
   if ran_parallel then
     Printf.printf
-      "parallel speedup %.2fx on %d effective domain(s) (%d requested, %d \
-       core(s)); records identical: %b\n"
-      (ts /. tp) effective_domains domains cores identical
+      "parallel speedup %.2fx on %d worker process(es) (%d core(s)); records \
+       identical: %b (%d fresh, %d duplicate(s) dropped)\n"
+      (ts /. tp) workers cores identical fabric_report.Fabric.fb_results
+      fabric_report.Fabric.fb_dup_results
   else
     Printf.printf
-      "parallel speedup: n/a — executor degraded to sequential (%d requested \
-       domain(s), %d core(s)); records identical: %b\n"
-      domains cores identical;
+      "parallel speedup: n/a — %d worker process(es) shared %d core(s); records \
+       identical: %b\n"
+      workers cores identical;
   Printf.printf "caches (sequential run): %s\n"
     (Format.asprintf "%a" Ferrite_machine.Cache_stats.render cache);
   (* columnar store footprint and scan throughput over the same records *)
@@ -240,9 +206,9 @@ let run_campaign_throughput () =
     shim_overhead_pct shim_ok chaos_seed chaos_stats.Iofault.st_faults
     chaos_stats.Iofault.st_retries chaos_identical;
   let oc = open_out "BENCH_campaign.json" in
-  (* [parallel_speedup] is reported only when the executor actually ran
-     parallel: a clamped-to-sequential "parallel" row timing the same code
-     twice is measurement noise, not a speedup *)
+  (* [parallel_speedup] is reported only when the workers actually ran in
+     parallel: two workers taking turns on one core is measurement noise,
+     not a speedup *)
   let parallel_speedup =
     if ran_parallel then Printf.sprintf "%.3f" (ts /. tp) else "null"
   in
@@ -259,10 +225,8 @@ let run_campaign_throughput () =
   "sequential": { "seconds": %.3f, "injections_per_sec": %.2f },
   "sequential_no_superblocks": { "seconds": %.3f, "injections_per_sec": %.2f },
   "superblock_speedup": %.3f,
-  "parallel": { "executor": "%s", "requested_domains": %d, "effective_domains": %d, "ran_parallel": %b, "seconds": %.3f, "injections_per_sec": %.2f },
+  "parallel": { "transport": "fabric", "workers": %d, "ran_parallel": %b, "seconds": %.3f, "injections_per_sec": %.2f, "fresh_results": %d, "duplicates_dropped": %d },
   "parallel_speedup": %s,
-  "distributed": { "workers": %d, "seconds": %.3f, "injections_per_sec": %.2f, "fresh_results": %d, "duplicates_dropped": %d, "records_identical": %b },
-  "distributed_speedup": %.3f,
   "records_identical": %b,
   "superblocks": { "sb_blocks": %d, "sb_insns_retired": %d, "sb_fallbacks": %d, "sb_hit_rate": %.4f },
   "store": { "rows": %d, "bytes": %d, "bytes_per_row": %.2f, "scan_seconds": %.4f, "scan_rows_per_sec": %.0f },
@@ -274,11 +238,8 @@ let run_campaign_throughput () =
     (Ferrite_injection.Fault_model.tag cfg.Campaign.fault_model)
     (Ferrite_injection.Target.targeting_tag cfg.Campaign.targeting)
     cores ts (rate ts) t0 (rate t0) (t0 /. ts)
-    (Executor.describe executor) domains effective_domains ran_parallel tp
-    (rate tp) parallel_speedup dist_workers td (rate td)
-    dist_report.Ferrite_fabric.Fabric.fb_results
-    dist_report.Ferrite_fabric.Fabric.fb_dup_results dist_identical
-    (ts /. td) identical
+    workers ran_parallel tp (rate tp) fabric_report.Fabric.fb_results
+    fabric_report.Fabric.fb_dup_results parallel_speedup identical
     cache.Ferrite_machine.Cache_stats.cs_sb_blocks
     cache.Ferrite_machine.Cache_stats.cs_sb_insns
     cache.Ferrite_machine.Cache_stats.cs_sb_fallbacks sb_hit_rate store_rows

@@ -57,41 +57,31 @@ let jobs_conv =
   let parse s =
     match int_of_string_opt s with
     | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-    | Some n when n < 0 ->
-      Error (`Msg (Printf.sprintf "--jobs %d: a worker count cannot be negative" n))
-    | Some n -> Ok n
+    | Some n -> (
+      match Fabric.workers_for_jobs n with
+      | workers -> Ok workers
+      | exception Invalid_argument msg -> Error (`Msg msg))
   in
   Arg.conv (parse, Format.pp_print_int)
 
 let jobs_arg =
   let doc =
-    "Number of worker domains for campaign execution (0 = one per core; \
-     values beyond the core count are clamped, since extra domains only add \
-     per-worker boots). Results are bit-identical for every value; only \
-     wall-clock time changes."
+    "Number of worker processes for campaign execution (0 = one per core; \
+     values beyond the core count are clamped, since extra workers only add \
+     per-worker boots). With 2 or more, the campaign runs on the process \
+     fabric: forked workers lease trial chunks and the controller merges \
+     their results. Records, traces and store bytes are byte-identical for \
+     every value; only wall-clock time and the boot/cache diagnostics change."
   in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let executor_of_jobs jobs =
-  if jobs = 0 then Ferrite_injection.Executor.auto ()
-  else Ferrite_injection.Executor.of_jobs jobs
-
 (* --- distributed fabric flags (inject) --- *)
-
-let workers_arg =
-  let doc =
-    "Run the campaign on the distributed fabric with $(docv) worker \
-     processes (forked; see --distributed for exec'd workers). The merged \
-     records, traces and store bytes are byte-identical to --jobs 1 for \
-     every worker count; only the fabric diagnostics differ."
-  in
-  Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
 
 let distributed_arg =
   let doc =
     "Spawn fabric workers as fresh 'ferrite worker' processes over \
-     stdin/stdout links instead of forked copies (implies --workers 2 \
-     unless --workers is given)."
+     stdin/stdout links instead of forked copies (2 workers unless --jobs \
+     asks for more)."
   in
   Arg.(value & flag & info [ "distributed" ] ~doc)
 
@@ -122,7 +112,7 @@ let wire_chaos_arg =
     "Arm seeded drop/duplicate/reorder chaos on every fabric link, both \
      directions ($(docv) = DROP or DROP,DUP,REORDER, rates in [0,1]). The \
      campaign still merges byte-identical; only retransmission and lease \
-     diagnostics move. Requires --workers/--distributed."
+     diagnostics move. Requires --jobs 2 or more, or --distributed."
   in
   Arg.(value & opt (some wire_chaos_conv) None & info [ "wire-chaos" ] ~docv:"RATES" ~doc)
 
@@ -206,42 +196,6 @@ let print_fabric_report (rep : Fabric.report) =
   List.iter
     (fun (i, reason) -> Printf.printf "  trial %d quarantined: %s\n" i reason)
     rep.Fabric.fb_quarantined
-
-(* Drive the controller by hand (rather than [Fabric.run_campaign]) so
-   --progress can watch trials merge, and so SIGTERM/SIGINT can flip the
-   drain flag: the loop below exits, [finish] salvages what is merged, and
-   the process still prints a (partial) report and a valid journal. *)
-let run_fabric ~workers ~distributed ?policy ?chaos ~tracer ?wire_chaos ?journal ?resume
-    ?(worker_args = [||]) ~progress cfg =
-  let c =
-    Fabric.Controller.create ?policy ?chaos ~tracer ?wire_chaos ?journal ?resume cfg
-  in
-  let install signal =
-    try
-      ignore
-        (Sys.signal signal (Sys.Signal_handle (fun _ -> Fabric.Controller.request_drain c)))
-    with Invalid_argument _ | Sys_error _ -> ()
-  in
-  install Sys.sigterm;
-  install Sys.sigint;
-  for _ = 1 to workers do
-    if distributed then
-      ignore
-        (Fabric.Controller.add_exec_worker c ~prog:Sys.executable_name
-           ~args:(Array.append [| Sys.executable_name; "worker" |] worker_args))
-    else ignore (Fabric.Controller.add_worker c)
-  done;
-  let total = cfg.Campaign.injections in
-  let last = ref (-1) in
-  while (not (Fabric.Controller.finished c)) && not (Fabric.Controller.draining c) do
-    Fabric.Controller.step c ~timeout:0.05;
-    let done_ = Fabric.Controller.completed c in
-    if progress && done_ <> !last && (done_ mod 100 = 0 || done_ = total) then begin
-      last := done_;
-      Printf.eprintf "\r%d/%d%!" done_ total
-    end
-  done;
-  Fabric.Controller.finish c
 
 let no_superblocks_arg =
   let doc =
@@ -543,24 +497,22 @@ let collector_retries_arg =
   Arg.(value & opt (some int) None & info [ "collector-retries" ] ~docv:"N" ~doc)
 
 (* --journal/--resume resolve to one (path, resuming) pair: --resume names
-   the journal it keeps appending to. Shared by the in-process supervisor
-   and the fabric controller. *)
-let resolve_journal ~journal ~resume =
-  match (resume, journal) with
-  | Some r, Some j when r <> j ->
-    Printf.eprintf
-      "ferrite: --journal and --resume name different files; --resume %s already \
-       appends to the journal it resumes\n"
-      r;
-    exit 2
-  | Some r, _ -> (Some r, true)
-  | None, j -> (j, false)
-
+   the journal it keeps appending to. *)
 let supervision_of ~journal ~resume ~max_retries ~chaos ~seed ~injections =
   match (journal, resume, max_retries, chaos) with
   | None, None, None, false -> None
   | _ ->
-    let journal, resume_flag = resolve_journal ~journal ~resume in
+    let journal, resume_flag =
+      match (resume, journal) with
+      | Some r, Some j when r <> j ->
+        Printf.eprintf
+          "ferrite: --journal and --resume name different files; --resume %s already \
+           appends to the journal it resumes\n"
+          r;
+        exit 2
+      | Some r, _ -> (Some r, true)
+      | None, j -> (j, false)
+    in
     let policy =
       match max_retries with
       | None -> Supervisor.default_policy
@@ -577,8 +529,8 @@ let supervision_of ~journal ~resume ~max_retries ~chaos ~seed ~injections =
         sv_resume = resume_flag;
       }
 
-(* Both the in-process supervisor and the fabric controller recover a
-   --resume journal; the refusal messages are identical either way. *)
+(* A --resume journal is recovered by the sequential supervisor or by the
+   fabric controller; the refusal messages are identical either way. *)
 let with_journal_errors f =
   try f () with
   | Journal.Header_mismatch { hm_path; hm_expected; hm_found } ->
@@ -596,7 +548,7 @@ let with_journal_errors f =
 let inject_cmd =
   let run arch kind n seed progress jobs no_superblocks trace_dir journal resume
       max_retries chaos collector_loss collector_retries fault_model targeting store
-      store_append workers distributed wire_chaos io_chaos io_enospc_after =
+      store_append distributed wire_chaos io_chaos io_enospc_after =
     apply_superblocks no_superblocks;
     arm_io_chaos ~io_chaos ~io_enospc_after;
     let cfg =
@@ -622,60 +574,40 @@ let inject_cmd =
       | None -> Ferrite_trace.Tracer.telemetry_only
       | Some _ -> Ferrite_trace.Tracer.default_config
     in
-    let res, fabric_report =
-      if workers > 0 || distributed then begin
-        let fab_journal, fab_resume = resolve_journal ~journal ~resume in
-        let policy =
-          Option.map
-            (fun r -> { Supervisor.default_policy with Supervisor.sp_max_retries = r })
-            max_retries
-        in
-        let chaos =
-          if chaos then Some (Supervisor.drill_plan ~seed:cfg.Campaign.seed ~injections:n)
-          else None
-        in
-        (* exec'd workers are fresh processes: the fault plan must ride the
-           argv (forked workers inherit the armed state) *)
-        let worker_args =
+    let workers = if distributed then max 2 jobs else jobs in
+    if wire_chaos <> None && workers < 2 then begin
+      Printf.eprintf "ferrite: --wire-chaos needs --jobs 2 or more, or --distributed\n";
+      exit 2
+    end;
+    let supervision =
+      supervision_of ~journal ~resume ~max_retries ~chaos ~seed:cfg.Campaign.seed ~injections:n
+    in
+    (* exec'd workers are fresh processes: the fault plan must ride the argv
+       (forked workers inherit the armed state) *)
+    let exec =
+      if not distributed then None
+      else
+        let io_args =
           match io_chaos with
-          | None -> [||]
+          | None -> []
           | Some s ->
-            Array.of_list
-              ([ "--io-chaos"; Int64.to_string s ]
-              @
-              match io_enospc_after with
-              | None -> []
-              | Some b -> [ "--io-enospc-after"; string_of_int b ])
+            [ "--io-chaos"; Int64.to_string s ]
+            @ Option.fold ~none:[]
+                ~some:(fun b -> [ "--io-enospc-after"; string_of_int b ])
+                io_enospc_after
         in
-        let r, rep =
-          with_journal_errors (fun () ->
-              run_fabric
-                ~workers:(if workers > 0 then workers else 2)
-                ~distributed ?policy ?chaos ~tracer ?wire_chaos ?journal:fab_journal
-                ~resume:fab_resume ~worker_args ~progress cfg)
-        in
-        (r, Some rep)
-      end
-      else begin
-        if wire_chaos <> None then begin
-          Printf.eprintf "ferrite: --wire-chaos needs --workers or --distributed\n";
-          exit 2
-        end;
-        let supervision =
-          supervision_of ~journal ~resume ~max_retries ~chaos ~seed:cfg.Campaign.seed
-            ~injections:n
-        in
-        let progress_fn ~done_ ~total =
-          if progress && (done_ mod 100 = 0 || done_ = total) then
-            Printf.eprintf "\r%d/%d%!" done_ total
-        in
-        let res =
-          with_journal_errors (fun () ->
-              Campaign.run ~progress:progress_fn ~executor:(executor_of_jobs jobs)
-                ~tracer ?supervision cfg)
-        in
-        (res, None)
-      end
+        Some
+          ( Sys.executable_name,
+            Array.of_list ([ Sys.executable_name; "worker" ] @ io_args) )
+    in
+    let progress_fn ~done_ ~total =
+      if progress && (done_ mod 100 = 0 || done_ = total) then
+        Printf.eprintf "\r%d/%d%!" done_ total
+    in
+    let res, fabric_report =
+      with_journal_errors (fun () ->
+          Fabric.run ~workers ?exec ?wire_chaos ~drain_on_signal:true ~progress:progress_fn
+            ~tracer ?supervision cfg)
     in
     if progress then Printf.eprintf "\n";
     print_campaign res;
@@ -697,7 +629,7 @@ let inject_cmd =
       const run $ arch_arg $ kind_arg $ count_arg $ seed_arg $ progress_arg $ jobs_arg
       $ no_superblocks_arg $ trace_dir_arg $ journal_arg $ resume_arg $ max_retries_arg
       $ chaos_arg $ collector_loss_arg $ collector_retries_arg $ fault_model_arg
-      $ targeting_arg $ store_arg $ store_append_arg $ workers_arg $ distributed_arg
+      $ targeting_arg $ store_arg $ store_append_arg $ distributed_arg
       $ wire_chaos_arg $ io_chaos_arg $ io_enospc_after_arg)
 
 (* --- matrix --- *)
@@ -717,7 +649,6 @@ let matrix_cmd =
     let arches =
       match arch_opt with Some a -> [ a ] | None -> [ Image.Cisc; Image.Risc ]
     in
-    let executor = executor_of_jobs jobs in
     let cell arch model =
       let cfg =
         {
@@ -733,7 +664,7 @@ let matrix_cmd =
             (match arch with Image.Cisc -> "P4" | Image.Risc -> "G4")
             (Fault_model.tag model) done_ total
       in
-      let res = Campaign.run ~progress:progress_fn ~executor cfg in
+      let res, _ = Fabric.run ~workers:jobs ~progress:progress_fn cfg in
       let s = Campaign.summarize res in
       let d =
         if s.Campaign.activation_known then max 1 s.Campaign.activated
@@ -812,7 +743,7 @@ let suite_cmd =
     let sc = Ferrite.Suite.scaled arch scale in
     let suite =
       Ferrite.Suite.run ~seed:(Int64.of_int seed) ~progress:(progress_fn progress arch)
-        ~executor:(executor_of_jobs jobs) ~scale:sc arch
+        ~workers:jobs ~scale:sc arch
     in
     if progress then Printf.eprintf "\n";
     print_string
@@ -851,14 +782,13 @@ let report_cmd =
         sc.Store.sc_blocks sc.Store.sc_bytes
     | None ->
       let seed = Int64.of_int seed in
-      let executor = executor_of_jobs jobs in
       let p4 =
-        Ferrite.Suite.run ~seed ~progress:(progress_fn progress Image.Cisc) ~executor
+        Ferrite.Suite.run ~seed ~progress:(progress_fn progress Image.Cisc) ~workers:jobs
           ~scale:(Ferrite.Suite.scaled Image.Cisc scale) Image.Cisc
       in
       if progress then Printf.eprintf "\n";
       let g4 =
-        Ferrite.Suite.run ~seed ~progress:(progress_fn progress Image.Risc) ~executor
+        Ferrite.Suite.run ~seed ~progress:(progress_fn progress Image.Risc) ~workers:jobs
           ~scale:(Ferrite.Suite.scaled Image.Risc scale) Image.Risc
       in
       if progress then Printf.eprintf "\n";
@@ -965,7 +895,7 @@ let trace_cmd =
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
   in
-  let run name jobs trace_dir =
+  let run name trace_dir =
     let scenarios =
       match name with
       | None -> Ferrite.Scenario.all
@@ -978,11 +908,10 @@ let trace_cmd =
                (List.map (fun sc -> sc.Ferrite.Scenario.sc_name) Ferrite.Scenario.all));
           exit 2)
     in
-    let executor = executor_of_jobs jobs in
     List.iteri
       (fun i sc ->
         if i > 0 then print_newline ();
-        let r = Ferrite.Scenario.run ~executor sc in
+        let r = Ferrite.Scenario.run sc in
         print_string (Ferrite.Scenario.render r);
         Option.iter
           (fun dir ->
@@ -998,9 +927,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Replay a paper scenario (Figs. 7/13/14) as an annotated event timeline; \
-          identical output for every --jobs value")
-    Term.(const run $ scenario_arg $ jobs_arg $ trace_dir_arg)
+         "Replay a paper scenario (Figs. 7/13/14) as an annotated event timeline")
+    Term.(const run $ scenario_arg $ trace_dir_arg)
 
 (* --- triage --- *)
 
@@ -1012,7 +940,7 @@ let triage_cmd =
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc)
   in
-  let run name jobs from_store =
+  let run name from_store =
     match from_store with
     | Some path ->
       let aggs, sc = load_aggregates path in
@@ -1038,11 +966,10 @@ let triage_cmd =
                  (List.map (fun sc -> sc.Ferrite.Scenario.sc_name) Ferrite.Scenario.all));
             exit 2)
       in
-      let executor = executor_of_jobs jobs in
       List.iteri
         (fun i sc ->
           if i > 0 then print_newline ();
-          let r = Ferrite.Scenario.run ~executor sc in
+          let r = Ferrite.Scenario.run sc in
           let record = r.Ferrite.Scenario.outcome in
           Printf.printf "%s\n" sc.Ferrite.Scenario.sc_title;
           Printf.printf "  target:  %s\n" (Target.describe r.Ferrite.Scenario.target);
@@ -1068,7 +995,7 @@ let triage_cmd =
        ~doc:
          "Bucket crashes into the paper's sec. 5 root-cause families - either a \
           stored campaign (--from-store) or the Figs. 7/13/14 scenario replays")
-    Term.(const run $ scenario_arg $ jobs_arg $ from_store_arg)
+    Term.(const run $ scenario_arg $ from_store_arg)
 
 (* --- fuzz --- *)
 

@@ -1,16 +1,13 @@
 (* Differential fault-trial runner.
 
    A [spec] names a whole generated campaign (arch, kind, seed, trial count,
-   step budget).  [run_spec] executes it under all four configurations
-
-     {fast, reference} x {Sequential, Parallel}
-
-   with reference/Sequential as the baseline, and demands byte-identical
-   records, traces and telemetry (modulo [tl_boots], the one documented
-   executor-dependent counter) plus identical collector stats.  Because trial
-   specs are derived counter-style from the campaign seed, any failing trial
-   can then be re-run in isolation ([run_trial]) and its step budget
-   minimised — that is what the shrinker leans on. *)
+   step budget).  [run_spec] executes it with the fast paths on and with
+   them off (the reference), and demands byte-identical records, traces
+   (whose per-trial telemetry is what a campaign folds) and collector stats,
+   trial by trial.  Because trial specs are derived counter-style from the
+   campaign seed, any failing trial can then be re-run in isolation
+   ([run_trial]) and its step budget minimised — that is what the shrinker
+   leans on. *)
 
 open Ferrite_machine
 module Campaign = Ferrite_injection.Campaign
@@ -23,7 +20,7 @@ module Boot = Ferrite_kernel.Boot
 module Profiler = Ferrite_workload.Profiler
 module Image = Ferrite_kir.Image
 module Tracer = Ferrite_trace.Tracer
-module Telemetry = Ferrite_trace.Telemetry
+module Journal = Ferrite_injection.Journal
 
 type spec = {
   df_arch : Image.arch;
@@ -128,54 +125,29 @@ let with_fast fast f =
   Memory.set_fast_paths_default fast;
   Fun.protect ~finally:(fun () -> Memory.set_fast_paths_default true) f
 
-let run_specs ~fast ~executor env specs =
-  with_fast fast (fun () -> Executor.run ~trace:Tracer.default_config executor env specs)
+let run_specs ~fast env specs =
+  with_fast fast (fun () ->
+      Array.map fst (Executor.run ~trace:Tracer.default_config env specs).Executor.trials)
 
 let first_diff a b =
   let n = min (Array.length a) (Array.length b) in
   let rec go i = if i >= n then min (Array.length a) (Array.length b) else if a.(i) <> b.(i) then i else go (i + 1) in
   go 0
 
-let compare_outcomes name (base : Executor.outcome) (o : Executor.outcome) =
-  if base.Executor.records <> o.Executor.records then
-    Error
-      {
-        mm_config = name;
-        mm_what = "records";
-        mm_trial = first_diff base.Executor.records o.Executor.records;
-      }
-  else if base.Executor.traces <> o.Executor.traces then
-    Error
-      {
-        mm_config = name;
-        mm_what = "traces";
-        mm_trial = first_diff base.Executor.traces o.Executor.traces;
-      }
-  else if
-    Telemetry.with_boots base.Executor.telemetry 0
-    <> Telemetry.with_boots o.Executor.telemetry 0
-  then Error { mm_config = name; mm_what = "telemetry"; mm_trial = -1 }
-  else if base.Executor.collector <> o.Executor.collector then
-    Error { mm_config = name; mm_what = "collector stats"; mm_trial = -1 }
-  else Ok ()
-
-let parallel = Executor.Parallel { domains = 3 }
-
-let configs =
-  [
-    ("fast/sequential", true, Executor.Sequential);
-    ("fast/parallel", true, parallel);
-    ("reference/parallel", false, parallel);
-  ]
+let compare_entries name (base : Journal.entry array) (o : Journal.entry array) =
+  let field what f =
+    let a = Array.map f base and b = Array.map f o in
+    if a = b then Ok () else Error { mm_config = name; mm_what = what; mm_trial = first_diff a b }
+  in
+  Result.bind
+    (field "records" (fun e -> e.Journal.je_record))
+    (fun () ->
+      Result.bind
+        (field "traces" (fun e -> e.Journal.je_trace))
+        (fun () -> field "collector stats" (fun e -> e.Journal.je_stats)))
 
 let run_on env specs =
-  let base = run_specs ~fast:false ~executor:Executor.Sequential env specs in
-  List.fold_left
-    (fun acc (name, fast, executor) ->
-      match acc with
-      | Error _ -> acc
-      | Ok () -> compare_outcomes name base (run_specs ~fast ~executor env specs))
-    (Ok ()) configs
+  compare_entries "fast" (run_specs ~fast:false env specs) (run_specs ~fast:true env specs)
 
 let plan s = Trial.plan ~seed:s.df_seed ~injections:s.df_injections ~variant:Boot.standard
 
@@ -199,7 +171,8 @@ let isolate s =
       match run_trial s ~trial with
       | Error mm -> (trial, mm)
       | Ok () -> (
-        (* telemetry-level mismatch without a trial index: scan for one *)
+        (* the divergence needs the trials before it: scan for one that
+           diverges alone *)
         let rec scan i =
           if i >= s.df_injections then None
           else

@@ -1,7 +1,8 @@
-(** Differential fault-trial runner: generated campaigns executed under all
-    four configurations {fast, reference} × {Sequential, Parallel}, asserting
-    byte-identical records, traces and telemetry (modulo the documented
-    [tl_boots] counter) against the reference/Sequential baseline. *)
+(** Differential fault-trial runner: generated campaigns executed with the
+    fast paths on and off (the reference), asserting byte-identical records,
+    traces (and so per-trial telemetry) and collector stats, trial by trial.
+    Worker-count invariance is pinned elsewhere (the fabric tests and
+    gates): generated specs cannot travel in a wire config. *)
 
 type spec = {
   df_arch : Ferrite_kir.Image.arch;
@@ -16,7 +17,7 @@ type spec = {
 }
 
 type mismatch = {
-  mm_config : string;  (** which configuration diverged, e.g. ["fast/parallel"] *)
+  mm_config : string;  (** which configuration diverged: ["fast"] *)
   mm_what : string;  (** ["records"], ["traces"], ["telemetry"], … *)
   mm_trial : int;  (** first diverging trial index, [-1] if not per-trial *)
 }
@@ -25,7 +26,7 @@ val describe : spec -> string
 val gen_spec : Ferrite_machine.Rng.t -> injections:int -> step_budget:int -> spec
 
 val run_spec : spec -> (unit, mismatch) result
-(** Run the whole campaign under the four configurations. *)
+(** Run the whole campaign with the fast paths on and off. *)
 
 val run_trial : spec -> trial:int -> (unit, mismatch) result
 (** Replay one trial in isolation (counter-style seeds make the slice exact). *)

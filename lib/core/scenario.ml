@@ -3,9 +3,9 @@
 
    Each scenario pins the exact target the paper describes and runs it as a
    one-spec campaign with a retaining tracer, so the figure becomes an
-   annotated timeline instead of prose. Because the replay goes through
-   [Executor.run], the rendered trace is byte-identical under Sequential and
-   Parallel — which is what the golden-trace tests pin down. *)
+   annotated timeline instead of prose. The replay is one [Trial.run], so
+   the rendered trace is a pure function of the scenario — which is what the
+   golden-trace tests pin down. *)
 
 module Image = Ferrite_kir.Image
 module System = Ferrite_kernel.System
@@ -14,7 +14,6 @@ module Workload = Ferrite_workload.Workload
 module Target = Ferrite_injection.Target
 module Engine = Ferrite_injection.Engine
 module Trial = Ferrite_injection.Trial
-module Executor = Ferrite_injection.Executor
 module Outcome = Ferrite_injection.Outcome
 module Tracer = Ferrite_trace.Tracer
 module Printer = Ferrite_trace.Printer
@@ -124,7 +123,7 @@ let spec_of sc target =
     forced_target = Some target;
   }
 
-let run ?(executor = Executor.Sequential) ?(trace = Tracer.default_config) sc =
+let run ?(trace = Tracer.default_config) sc =
   let image = Boot.build_image ~variant:Boot.standard sc.sc_arch in
   (* resolve the paper's target against a probe boot of the same image *)
   let target = sc.sc_target (Boot.boot ~image sc.sc_arch) in
@@ -141,14 +140,8 @@ let run ?(executor = Executor.Sequential) ?(trace = Tracer.default_config) sc =
       env_targeting = Target.Uniform;
     }
   in
-  let out = Executor.run ~trace executor env [| spec_of sc target |] in
-  {
-    scenario = sc;
-    target;
-    outcome = out.Executor.records.(0);
-    trace = out.Executor.traces.(0);
-    dump = out.Executor.dumps.(0);
-  }
+  let outcome, _, trace, dump = Trial.run ~trace env (Trial.cache_create ()) (spec_of sc target) in
+  { scenario = sc; target; outcome; trace; dump }
 
 let render r =
   let buf = Buffer.create 4096 in

@@ -2,9 +2,8 @@
     as single forced-target trials run through the real campaign pipeline
     with a retaining tracer, rendered as annotated timelines.
 
-    The replay goes through {!Ferrite_injection.Executor.run}, so the
-    rendered trace is byte-identical under [Sequential] and [Parallel] —
-    pinned by the golden-trace tests. *)
+    The replay is one {!Ferrite_injection.Trial.run}, so the rendered trace
+    is a pure function of the scenario — pinned by the golden-trace tests. *)
 
 type t = {
   sc_name : string;  (** CLI identifier, e.g. ["fig7"] *)
@@ -40,13 +39,9 @@ type result = {
           delivered [Known_crash] *)
 }
 
-val run :
-  ?executor:Ferrite_injection.Executor.t ->
-  ?trace:Ferrite_trace.Tracer.config ->
-  t ->
-  result
+val run : ?trace:Ferrite_trace.Tracer.config -> t -> result
 (** Replay the scenario as a one-spec campaign. Deterministic: same scenario,
-    same bytes, regardless of [executor]. *)
+    same bytes. *)
 
 val render : result -> string
 (** Title, note, target, outcome and the annotated event timeline. *)

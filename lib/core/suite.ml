@@ -21,13 +21,16 @@ type t = {
   code : Campaign.result;
 }
 
-let run ?(seed = 0x0D5A2004L) ?(progress = fun _ ~done_:_ ~total:_ -> ())
-    ?(executor = Ferrite_injection.Executor.default) ~scale arch =
+let run ?(seed = 0x0D5A2004L) ?(progress = fun _ ~done_:_ ~total:_ -> ()) ?workers ~scale
+    arch =
   let one kind name n extra_seed =
     let cfg =
       { (Campaign.default ~arch ~kind ~injections:n) with Campaign.seed = Int64.add seed extra_seed }
     in
-    Campaign.run ~progress:(fun ~done_ ~total -> progress name ~done_ ~total) ~executor cfg
+    fst
+      (Ferrite_fabric.Fabric.run ?workers
+         ~progress:(fun ~done_ ~total -> progress name ~done_ ~total)
+         cfg)
   in
   {
     arch;

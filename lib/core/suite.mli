@@ -27,13 +27,13 @@ type t = {
 val run :
   ?seed:int64 ->
   ?progress:(string -> done_:int -> total:int -> unit) ->
-  ?executor:Ferrite_injection.Executor.t ->
+  ?workers:int ->
   scale:scale ->
   Ferrite_kir.Image.arch ->
   t
-(** Run the four campaigns. [executor] (default sequential) is threaded
-    through every campaign; results are executor-independent (see
-    {!Ferrite_injection.Campaign.run}). *)
+(** Run the four campaigns, each through {!Ferrite_fabric.Fabric.run} with
+    [workers] (default 1, sequential); results are independent of the
+    worker count. *)
 
 val campaign : t -> Ferrite_injection.Target.kind -> Ferrite_injection.Campaign.result
 

@@ -1,13 +1,11 @@
 module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Journal = Ferrite_injection.Journal
-module Collector = Ferrite_injection.Collector
 module Crash_dump = Ferrite_injection.Crash_dump
-module Executor = Ferrite_injection.Executor
+module Outcome = Ferrite_injection.Outcome
 module Fault_model = Ferrite_injection.Fault_model
 module Trial = Ferrite_injection.Trial
 module Tracer = Ferrite_trace.Tracer
-module Telemetry = Ferrite_trace.Telemetry
 module Rng = Ferrite_machine.Rng
 module Cache_stats = Ferrite_machine.Cache_stats
 module Iofault = Ferrite_iofault.Iofault
@@ -311,6 +309,7 @@ module Worker = struct
                   segfaulted harness process *)
                Unix._exit 42
              | _ -> ());
+             let retried = Supervisor.retries sv in
              let record, stats, trace, dump =
                Supervisor.run_trial sv ~trace:w.Wire.w_tracer env cache specs.(i)
              in
@@ -322,6 +321,7 @@ module Worker = struct
                  {
                    rs_seq = seq;
                    rs_index = i;
+                   rs_retries = Supervisor.retries sv - retried;
                    rs_entry =
                      {
                        Journal.je_index = i;
@@ -391,6 +391,8 @@ module Controller = struct
     t_max_deaths : int;
     t_heartbeat : float;
     t_journal : Journal.writer option;
+    t_recovery : Journal.recovery;
+    t_supervised : bool;  (* given a policy, chaos plan or journal *)
     t_lease : Lease.t;
     t_entries : Journal.entry option array;
     t_dumps : Crash_dump.t option array;
@@ -408,13 +410,18 @@ module Controller = struct
     mutable t_requeued : int;
     mutable t_left : int;
     mutable t_quarantined : (int * string) list;
+    mutable t_retries : int;  (* supervisor retries behind fresh results *)
+    mutable t_resumed : int;  (* trials served from the recovered journal *)
+    mutable t_sup_quarantined : Supervisor.quarantine list;  (* fresh ones *)
   }
 
-  let create ?(policy = Supervisor.default_policy) ?(chaos = Supervisor.no_chaos)
-      ?(tracer = Tracer.telemetry_only) ?wire_chaos ?(wire_seed = 0xFAB71CL) ?chunk
-      ?(lease_timeout = 5.0) ?(max_worker_deaths = 2) ?(heartbeat_timeout = 30.0) ?journal
-      ?(resume = false) cfg =
+  let create ?policy ?chaos ?(tracer = Tracer.telemetry_only) ?wire_chaos
+      ?(wire_seed = 0xFAB71CL) ?chunk ?(lease_timeout = 5.0) ?(max_worker_deaths = 2)
+      ?(heartbeat_timeout = 30.0) ?journal ?(resume = false) cfg =
     ignore_sigpipe ();
+    let supervised = policy <> None || chaos <> None || journal <> None in
+    let policy = Option.value policy ~default:Supervisor.default_policy in
+    let chaos = Option.value chaos ~default:Supervisor.no_chaos in
     let specs = Campaign.plan cfg in
     let total = Array.length specs in
     if total = 0 then invalid_arg "Fabric.Controller.create: empty campaign";
@@ -425,14 +432,14 @@ module Controller = struct
       | Some c ->
         if c <= 0 then invalid_arg "Fabric.Controller.create: non-positive chunk";
         c
-      | None -> Executor.chunk_size ~total ~workers:4
+      | None -> Lease.chunk_size ~total ~workers:4
     in
     (* The controller's journal mirrors the in-process supervisor's: every
        merged entry is appended as it lands, so a drained (SIGTERM) or
        degraded campaign leaves a valid journal any later run can resume. *)
-    let writer, recovered =
+    let writer, recovery =
       match journal with
-      | None -> (None, [])
+      | None -> (None, Journal.empty_recovery)
       | Some path ->
         (* hash with the supervision fingerprint the in-process supervisor
            would use under the same policy/chaos, so fabric journals and
@@ -449,8 +456,9 @@ module Controller = struct
           Journal.plan_hash_of_string (Campaign.plan_fingerprint ~supervision:sv cfg)
         in
         if (not resume) && Sys.file_exists path then Sys.remove path;
+        (* without [resume] the file was just removed: [rc] is empty *)
         let w, rc = Journal.open_for_append ~path ~plan_hash:hash in
-        (Some w, if resume then rc.Journal.rc_entries else [])
+        (Some w, rc)
     in
     let t =
       {
@@ -464,6 +472,8 @@ module Controller = struct
         t_max_deaths = max_worker_deaths;
         t_heartbeat = heartbeat_timeout;
         t_journal = writer;
+        t_recovery = recovery;
+        t_supervised = supervised;
         t_lease = Lease.create ~total ~chunk ~timeout:lease_timeout ~max_deaths:max_worker_deaths;
         t_entries = Array.make total None;
         t_dumps = Array.make total None;
@@ -481,6 +491,9 @@ module Controller = struct
         t_requeued = 0;
         t_left = 0;
         t_quarantined = [];
+        t_retries = 0;
+        t_resumed = 0;
+        t_sup_quarantined = [];
       }
     in
     List.iter
@@ -488,9 +501,10 @@ module Controller = struct
         let i = e.Journal.je_index in
         if i >= 0 && i < total && t.t_entries.(i) = None then begin
           t.t_entries.(i) <- Some e;
+          t.t_resumed <- t.t_resumed + 1;
           ignore (Lease.complete t.t_lease ~index:i)
         end)
-      recovered;
+      recovery.Journal.rc_entries;
     t
 
   let welcome t ~worker =
@@ -558,6 +572,21 @@ module Controller = struct
     Unix.close child_end;
     register t ~fd:parent_end ~pid:(Some pid)
 
+  (* Land one fresh entry: merge slot, journal, and the supervision tally a
+     sequential run would have kept for it. *)
+  let accept t ~retries (entry : Journal.entry) dump =
+    let index = entry.Journal.je_index in
+    t.t_entries.(index) <- Some entry;
+    t.t_dumps.(index) <- dump;
+    Option.iter (fun w -> Journal.append w entry) t.t_journal;
+    t.t_retries <- t.t_retries + retries;
+    match entry.Journal.je_record.Outcome.r_outcome with
+    | Outcome.Infrastructure_failure { if_error; if_attempts } ->
+      t.t_sup_quarantined <-
+        { Supervisor.q_index = index; q_attempts = if_attempts; q_reason = if_error }
+        :: t.t_sup_quarantined
+    | _ -> ()
+
   let quarantine t index =
     (* the fabric's verdict for a poison trial matches the in-process
        supervisor's: one reason per fatal attempt, so [if_attempts] agrees
@@ -573,12 +602,9 @@ module Controller = struct
         ~model:(Fault_model.validated t.t_cfg.Campaign.fault_model)
         t.t_specs.(index) reasons
     in
-    let entry =
+    accept t ~retries:0
       { Journal.je_index = index; je_record = record; je_stats = stats; je_trace = trace }
-    in
-    t.t_entries.(index) <- Some entry;
-    Option.iter (fun w -> Journal.append w entry) t.t_journal;
-    t.t_dumps.(index) <- dump;
+      dump;
     t.t_quarantined <- t.t_quarantined @ [ (index, List.nth reasons (deaths - 1)) ];
     ignore (Lease.complete t.t_lease ~index)
 
@@ -658,15 +684,13 @@ module Controller = struct
     | Wire.Steal_return { sr_lease; sr_lo; sr_hi } ->
       if Lease.steal_return t.t_lease ~lease:sr_lease ~lo:sr_lo ~hi:sr_hi > 0 then
         t.t_steal_returns <- t.t_steal_returns + 1
-    | Wire.Result { rs_seq; rs_index; rs_entry; rs_dump } ->
+    | Wire.Result { rs_seq; rs_index; rs_retries; rs_entry; rs_dump } ->
       (* always ack — the worker retransmits until we do, and dedup is ours *)
       send_to t conn (Wire.Ack { ak_seq = rs_seq });
       if rs_entry.Journal.je_index = rs_index then (
         match Lease.complete t.t_lease ~index:rs_index with
         | Lease.Fresh ->
-          t.t_entries.(rs_index) <- Some rs_entry;
-          Option.iter (fun w -> Journal.append w rs_entry) t.t_journal;
-          t.t_dumps.(rs_index) <- rs_dump;
+          accept t ~retries:rs_retries rs_entry rs_dump;
           t.t_results <- t.t_results + 1
         | Lease.Duplicate -> t.t_dup_results <- t.t_dup_results + 1)
     | Wire.Bye { bye_stats } ->
@@ -763,33 +787,16 @@ module Controller = struct
           wait ())
       t.t_conns
 
-  (* The completed-only merge. On a finished campaign every entry is present
-     and this is exactly the sequential executor's fold; on a drained one it
-     folds the completed prefix-subset in trial-index order — the salvage
-     state: partial but internally consistent Tables 5/6, never a mix of
-     real and invented trials. *)
+  (* The salvage filter: on a finished campaign every entry is present; on a
+     drained one only the completed subset goes to the merge, in trial-index
+     order — partial but internally consistent Tables 5/6, never a mix of
+     real and invented trials. The fold itself is [Campaign.merge]. *)
   let merge_present t =
-    let entries =
-      Array.to_list t.t_entries |> List.filteri (fun _ e -> e <> None) |> List.map Option.get
-    in
-    let present_dumps =
-      Array.to_list t.t_entries
-      |> List.mapi (fun i e -> (i, e))
-      |> List.filter_map (fun (i, e) -> if e = None then None else Some t.t_dumps.(i))
-    in
-    let records = List.map (fun e -> e.Journal.je_record) entries in
-    let traces = List.map (fun e -> e.Journal.je_trace) entries in
-    (* identical folds to the sequential executor: collector stats and
-       telemetry accumulate in trial-index order from the same zeros *)
-    let collector =
-      List.fold_left
-        (fun acc e -> Collector.merge_stats acc e.Journal.je_stats)
-        Collector.zero_stats entries
-    in
-    let telemetry =
-      List.fold_left
-        (fun acc e -> Telemetry.merge acc e.Journal.je_trace.Tracer.tr_telemetry)
-        Telemetry.zero entries
+    let trials =
+      List.filter_map Fun.id
+        (List.mapi
+           (fun i e -> Option.map (fun e -> (e, t.t_dumps.(i))) e)
+           (Array.to_list t.t_entries))
     in
     let reboots, cache =
       List.fold_left
@@ -799,19 +806,25 @@ module Controller = struct
           | None -> (rb, cs))
         (0, Cache_stats.zero) t.t_conns
     in
-    let env = Campaign.environment t.t_cfg in
-    {
-      Campaign.cfg = t.t_cfg;
-      records;
-      traces;
-      dumps = present_dumps;
-      telemetry = Telemetry.with_boots telemetry reboots;
-      hot_profile = env.Trial.env_hot;
-      reboots;
-      collector;
-      cache;
-      supervision = None;
-    }
+    let supervision =
+      if not t.t_supervised then None
+      else
+        Some
+          {
+            Supervisor.zero_report with
+            Supervisor.sup_retries = t.t_retries;
+            sup_quarantined =
+              List.sort
+                (fun a b -> compare a.Supervisor.q_index b.Supervisor.q_index)
+                t.t_sup_quarantined;
+            sup_resume_skips = t.t_resumed;
+            sup_journal_entries = List.length t.t_recovery.Journal.rc_entries;
+            sup_journal_truncated = t.t_recovery.Journal.rc_truncated_bytes;
+          }
+    in
+    Campaign.merge ?supervision t.t_cfg
+      ~hot_profile:(Campaign.environment t.t_cfg).Trial.env_hot
+      ~reboots ~cache trials
 
   let missing t = Array.fold_left (fun n e -> if e = None then n + 1 else n) 0 t.t_entries
 
@@ -878,19 +891,81 @@ module Controller = struct
     (merge_present t, report t)
 end
 
-let run_campaign ?(workers = 2) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk
-    ?lease_timeout ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
+(* SIGTERM/SIGINT flip the drain flag for the campaign's duration: the loop
+   below exits, [finish] salvages what is merged, and the journal stays a
+   valid resumable prefix. The previous handlers come back afterwards. *)
+let with_drain_signals t f =
+  let install signal =
+    match Sys.signal signal (Sys.Signal_handle (fun _ -> Controller.request_drain t)) with
+    | old -> Some (signal, old)
+    | exception (Invalid_argument _ | Sys_error _) -> None
+  in
+  let saved = List.filter_map install [ Sys.sigterm; Sys.sigint ] in
+  Fun.protect ~finally:(fun () -> List.iter (fun (s, old) -> Sys.set_signal s old) saved) f
+
+let drive ?(workers = 2) ?exec ?(drain_on_signal = false)
+    ?(progress = fun ~done_:_ ~total:_ -> ()) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed
+    ?chunk ?lease_timeout ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
+  let workers = max 1 workers in
   let chunk =
     match chunk with
     | Some _ -> chunk
-    | None ->
-      Some (Executor.chunk_size ~total:cfg.Campaign.injections ~workers:(max 1 workers))
+    | None -> Some (Lease.chunk_size ~total:cfg.Campaign.injections ~workers)
   in
   let t =
     Controller.create ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk ?lease_timeout
       ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg
   in
-  for _ = 1 to max 1 workers do
-    ignore (Controller.add_worker t)
-  done;
-  Controller.finish t
+  let go () =
+    for _ = 1 to workers do
+      match exec with
+      | Some (prog, args) -> ignore (Controller.add_exec_worker t ~prog ~args)
+      | None -> ignore (Controller.add_worker t)
+    done;
+    let total = cfg.Campaign.injections in
+    let reported = ref 0 in
+    while
+      (not (Controller.finished t))
+      && (not (Controller.draining t))
+      && Controller.workers_alive t > 0
+    do
+      Controller.step t ~timeout:0.05;
+      let completed = Controller.completed t in
+      for done_ = !reported + 1 to completed do
+        progress ~done_ ~total
+      done;
+      reported := max !reported completed
+    done;
+    Controller.finish t
+  in
+  if drain_on_signal then with_drain_signals t go else go ()
+
+let run_campaign ?workers ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk
+    ?lease_timeout ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
+  drive ?workers ?policy ?chaos ?tracer ?wire_chaos ?wire_seed ?chunk ?lease_timeout
+    ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg
+
+let workers_for_jobs jobs =
+  if jobs < 0 then
+    invalid_arg (Printf.sprintf "--jobs %d: a worker count cannot be negative" jobs);
+  (* more workers than cores only multiplies per-worker boots *)
+  let cores = Domain.recommended_domain_count () in
+  if jobs = 0 then cores else min jobs cores
+
+let run ?(workers = 1) ?exec ?wire_chaos ?drain_on_signal ?progress ?tracer ?supervision cfg =
+  if workers < 2 then (Campaign.run ?progress ?tracer ?supervision cfg, None)
+  else
+    let policy, chaos, journal, resume =
+      match supervision with
+      | None -> (None, None, None, None)
+      | Some sv ->
+        ( Some sv.Campaign.sv_policy,
+          Some sv.Campaign.sv_chaos,
+          sv.Campaign.sv_journal,
+          Some sv.Campaign.sv_resume )
+    in
+    let result, report =
+      drive ~workers ?exec ?drain_on_signal ?progress ?policy ?chaos ?tracer ?wire_chaos
+        ?journal ?resume cfg
+    in
+    (result, Some report)

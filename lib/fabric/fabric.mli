@@ -1,11 +1,12 @@
 (** The distributed campaign fabric: one controller, a fleet of worker
     processes, and a byte-identical merge.
 
-    The fabric is the process-level sibling of
-    {!Ferrite_injection.Executor.Parallel}: the same plan → execute → merge
-    decomposition, with OS processes over stream sockets instead of domains
-    over shared memory. The controller owns the {!Lease} table and the merge
-    arrays; workers own everything expensive (boot, profile, trial
+    The fabric is Ferrite's only parallel path ({!run} is the [--jobs N]
+    dispatch): the campaign's plan → execute → merge decomposition, with
+    trials executed by OS processes over stream sockets and merged by the
+    same fold as a sequential run ({!Ferrite_injection.Campaign.merge}). The
+    controller owns the {!Lease} table and the merge arrays; workers own
+    everything expensive (boot, profile, trial
     execution). Workers self-schedule by leasing trial-index chunks, steal
     work from each other through the controller when the tail drains, may
     join and leave mid-campaign, and are survived by it: a killed worker's
@@ -21,7 +22,7 @@
     are byte-identical to a sequential run under {e any} worker count,
     join/leave schedule, kill schedule or wire-chaos seed — only the
     diagnostics ([reboots], [cache], and boots-derived [tl_boots]) depend on
-    scheduling, as they already do under the domain-pool executor. *)
+    scheduling. *)
 
 module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
@@ -90,7 +91,8 @@ module Controller : sig
     Campaign.config ->
     t
   (** A controller with no workers yet. [chunk] defaults to
-      {!Ferrite_injection.Executor.chunk_size} over four workers;
+      {!Lease.chunk_size} over four workers ({!run_campaign} and {!run} pass
+      the chunk for their actual worker count);
       [lease_timeout] (default 5 s) is the liveness backstop for lost
       messages and silent workers; a trial orphaned by more than
       [max_worker_deaths] (default 2) deaths is quarantined. [wire_chaos]
@@ -143,8 +145,13 @@ module Controller : sig
       reap the fleet and build the campaign result. The result's [records],
       [traces], [dumps], [collector] and [telemetry] counters are
       byte-identical to [Campaign.run cfg] — see the module preamble.
-      [supervision] is [None]; fabric bookkeeping lives in the returned
-      {!report}. Raises [Failure] if every worker is gone and trials remain
+      If the controller was given a [policy], [chaos] plan or [journal],
+      [supervision] carries the counts a supervised sequential run reports:
+      retries behind the merged results, quarantines (worker-side and
+      poison), trials resumed from the journal, and the torn-tail bytes its
+      recovery discarded ([sup_events] stays empty: the timeline lives in
+      the workers). Otherwise it is [None]. Fabric bookkeeping lives in the
+      returned {!report}. Raises [Failure] if every worker is gone and trials remain
       (the caller controls the fleet, so an empty fleet is its bug, not a
       hang).
 
@@ -171,4 +178,31 @@ val run_campaign :
   Campaign.config ->
   Campaign.result * report
 (** Create a controller, fork [workers] (default 2) workers, run to
-    completion. *)
+    completion. [chunk] defaults to {!Lease.chunk_size} for [workers]. *)
+
+val workers_for_jobs : int -> int
+(** The [--jobs N] mapping: [0] means one worker per core, and larger
+    counts are clamped to the core count (more workers than cores only
+    multiply per-worker boots). Raises [Invalid_argument] on a negative
+    count. *)
+
+val run :
+  ?workers:int ->
+  ?exec:string * string array ->
+  ?wire_chaos:Wire.wire_chaos ->
+  ?drain_on_signal:bool ->
+  ?progress:(done_:int -> total:int -> unit) ->
+  ?tracer:Ferrite_trace.Tracer.config ->
+  ?supervision:Campaign.supervision ->
+  Campaign.config ->
+  Campaign.result * report option
+(** The one parallel dispatch. With [workers] (default 1) below 2 this is
+    [Campaign.run] and no report; otherwise a fleet of [workers] workers —
+    forked, or spawned as [exec] = [(prog, argv)] over stdin/stdout — runs
+    the campaign under [supervision]'s policy, chaos plan and journal, and
+    the result equals the sequential one (see the preamble).
+    [progress] observes [done_] = 1, 2, …, each at most once and in order
+    (journal-recovered trials included). With [drain_on_signal],
+    SIGTERM/SIGINT drain the fleet for the campaign's duration (see
+    {!Controller.finish}). [wire_chaos] arms every link; it needs a
+    fleet. *)

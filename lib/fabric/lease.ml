@@ -30,6 +30,11 @@ type t = {
   deaths : int array;  (* worker deaths charged per trial *)
 }
 
+(* Contiguous chunks keep per-worker scheduling overhead low; chunks smaller
+   than total/workers rebalance the long tail, because trial costs vary by
+   two orders of magnitude between a Not-Activated run and a watchdog Hang. *)
+let chunk_size ~total ~workers = max 1 (total / (max 1 workers * 8))
+
 let create ~total ~chunk ~timeout ~max_deaths =
   if total <= 0 then invalid_arg "Lease.create: total must be positive";
   if chunk <= 0 then invalid_arg "Lease.create: chunk must be positive";

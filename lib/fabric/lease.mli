@@ -30,9 +30,14 @@ type completion =
 
 type t
 
+val chunk_size : total:int -> workers:int -> int
+(** The grant granularity for [workers] workers:
+    [max 1 (total / (workers * 8))]. Small enough to rebalance the long tail
+    (trial costs vary ~100× between Not-Activated and Hang), large enough to
+    amortise lease traffic. *)
+
 val create : total:int -> chunk:int -> timeout:float -> max_deaths:int -> t
-(** [total] trials, granted [chunk] at a time (see
-    {!Ferrite_injection.Executor.chunk_size}); a lease untouched for
+(** [total] trials, granted [chunk] at a time (see {!chunk_size}); a lease untouched for
     [timeout] seconds may be expired; a trial orphaned by more than
     [max_deaths] worker deaths is poisoned. Raises [Invalid_argument] on a
     non-positive [total]/[chunk]/[timeout] or negative [max_deaths]. *)

@@ -3,7 +3,7 @@ module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
 
-let protocol_version = 2
+let protocol_version = 3
 
 (* Same ceiling as the journal's frame walk: a length field beyond this is
    garbage, not a message we have not finished receiving. *)
@@ -51,6 +51,7 @@ type msg =
   | Result of {
       rs_seq : int;
       rs_index : int;
+      rs_retries : int;
       rs_entry : Journal.entry;
       rs_dump : Crash_dump.t option;
     }
@@ -107,13 +108,14 @@ let encode_payload msg =
     put_u32 b sr_lease;
     put_u32 b sr_lo;
     put_u32 b sr_hi
-  | Result { rs_seq; rs_index; rs_entry; rs_dump } ->
+  | Result { rs_seq; rs_index; rs_retries; rs_entry; rs_dump } ->
     (* the entry blob is the journal's own payload encoding: a fabric result
        in flight is a journal frame whose file has not been written yet *)
     let entry = Journal.encode_entry rs_entry in
     Buffer.add_char b 'R';
     put_u32 b rs_seq;
     put_u32 b rs_index;
+    put_u32 b rs_retries;
     put_u32 b (String.length entry);
     Buffer.add_string b entry;
     Buffer.add_string b (Marshal.to_string rs_dump [])
@@ -160,18 +162,26 @@ let decode_payload s =
             (Steal_return
                { sr_lease = get_u32 s 1; sr_lo = get_u32 s 5; sr_hi = get_u32 s 9 }))
     | 'R' ->
-      if n < 13 then None
+      if n < 17 then None
       else
-        let elen = get_u32 s 9 in
-        if elen < 0 || n < 13 + elen then None
+        let elen = get_u32 s 13 in
+        if elen < 0 || n < 17 + elen then None
         else (
-          match Journal.decode_entry (String.sub s 13 elen) with
+          match Journal.decode_entry (String.sub s 17 elen) with
           | None -> None
           | Some rs_entry -> (
-            match (unmarshal_from s (13 + elen) : Crash_dump.t option option) with
+            match (unmarshal_from s (17 + elen) : Crash_dump.t option option) with
             | None -> None
             | Some rs_dump ->
-              Some (Result { rs_seq = get_u32 s 1; rs_index = get_u32 s 5; rs_entry; rs_dump })))
+              Some
+                (Result
+                   {
+                     rs_seq = get_u32 s 1;
+                     rs_index = get_u32 s 5;
+                     rs_retries = get_u32 s 9;
+                     rs_entry;
+                     rs_dump;
+                   })))
     | 'A' -> fixed 4 (fun () -> Some (Ack { ak_seq = get_u32 s 1 }))
     | 'K' -> fixed 4 (fun () -> Some (Heartbeat { hb_worker = get_u32 s 1 }))
     | 'B' -> (

@@ -41,8 +41,8 @@ type bye_stats = {
   by_leases : int;  (** leases the worker completed *)
 }
 (** A worker's parting diagnostics. Lost with the worker when it is killed —
-    like [reboots]/[cache] under the domain-pool executor, these never feed
-    records or telemetry. *)
+    like [reboots]/[cache] of a sequential run, these never feed records or
+    telemetry. *)
 
 type welcome = {
   w_worker : int;  (** controller-assigned worker id *)
@@ -78,6 +78,10 @@ type msg =
   | Result of {
       rs_seq : int;  (** per-worker sequence number, echoed by {!Ack} *)
       rs_index : int;  (** trial index — the controller's dedup key *)
+      rs_retries : int;
+          (** failed attempts the worker's supervisor retried before this
+              result (the in-process supervisor's [sup_retries] share of
+              this trial) *)
       rs_entry : Journal.entry;
       rs_dump : Crash_dump.t option;
           (** crash dumps ride alongside the journal entry: the journal's

@@ -72,7 +72,7 @@ let hot_profile image arch =
 let plan cfg = Trial.plan ~seed:cfg.seed ~injections:cfg.injections ~variant:cfg.variant
 
 (* The canonical plan description hashed into a journal header. Everything
-   that changes a trial record belongs here; [--jobs] (the executor) must
+   that changes a trial record belongs here; [--jobs] (the worker count) must
    not, or a journal written under --jobs 4 could not seed a --jobs 1
    resume. Floats are rendered with %h (hex, exact round-trip). *)
 let plan_fingerprint ?supervision cfg =
@@ -146,10 +146,37 @@ let environment cfg =
   let image = Boot.build_image ~variant:cfg.variant cfg.arch in
   env_of cfg image (hot_profile image cfg.arch)
 
-let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
-    ?(tracer = Ferrite_trace.Tracer.telemetry_only) ?supervision cfg =
+(* The one merge fold, shared with the process fabric: per-trial results in
+   trial-index order become the campaign result. Collector stats and
+   telemetry accumulate from the same zeros in the same order under every
+   worker count; only [tl_boots] is scheduling-dependent (each worker boots
+   its own machine) and is filled in from [reboots]. *)
+let merge ?supervision cfg ~hot_profile ~reboots ~cache (trials : Executor.trial list) =
+  let collector, telemetry =
+    List.fold_left
+      (fun (col, tl) ((e : Journal.entry), _) ->
+        ( Collector.merge_stats col e.Journal.je_stats,
+          Ferrite_trace.Telemetry.merge tl e.Journal.je_trace.Ferrite_trace.Tracer.tr_telemetry ))
+      (Collector.zero_stats, Ferrite_trace.Telemetry.zero)
+      trials
+  in
+  {
+    cfg;
+    records = List.map (fun ((e : Journal.entry), _) -> e.Journal.je_record) trials;
+    traces = List.map (fun ((e : Journal.entry), _) -> e.Journal.je_trace) trials;
+    dumps = List.map snd trials;
+    telemetry = Ferrite_trace.Telemetry.with_boots telemetry reboots;
+    hot_profile;
+    reboots;
+    collector;
+    cache;
+    supervision;
+  }
+
+let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(tracer = Ferrite_trace.Tracer.telemetry_only)
+    ?supervision cfg =
   (* plan → execute → merge: build shared read-only inputs once, decompose
-     the campaign into pure trial specs, hand them to the executor *)
+     the campaign into pure trial specs, run them, fold the results *)
   let image = Boot.build_image ~variant:cfg.variant cfg.arch in
   let hot = hot_profile image cfg.arch in
   let specs = plan cfg in
@@ -176,23 +203,12 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(executor = Executor.default)
   let out =
     Fun.protect
       ~finally:(fun () -> Option.iter Journal.close writer)
-      (fun () ->
-        Executor.run ~progress ~trace:tracer ?supervisor executor (env_of cfg image hot)
-          specs)
+      (fun () -> Executor.run ~progress ~trace:tracer ?supervisor (env_of cfg image hot) specs)
   in
-  {
-    cfg;
-    records = Array.to_list out.Executor.records;
-    traces = Array.to_list out.Executor.traces;
-    dumps = Array.to_list out.Executor.dumps;
-    telemetry =
-      Ferrite_trace.Telemetry.with_boots out.Executor.telemetry out.Executor.reboots;
-    hot_profile = hot;
-    reboots = out.Executor.reboots;
-    collector = out.Executor.collector;
-    cache = out.Executor.cache;
-    supervision = Option.map Supervisor.report supervisor;
-  }
+  merge
+    ?supervision:(Option.map Supervisor.report supervisor)
+    cfg ~hot_profile:hot ~reboots:out.Executor.reboots ~cache:out.Executor.cache
+    (Array.to_list out.Executor.trials)
 
 type summary = {
   injected : int;

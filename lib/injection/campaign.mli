@@ -6,10 +6,10 @@
     realised as an explicit per-worker system cache (see {!Trial}).
 
     Campaigns are decomposed as plan → execute → merge: {!Trial.plan} derives
-    one pure spec per injection counter-style from [seed], an {!Executor}
-    runs them (sequentially or on a domain pool), and the records are merged
-    back in trial order. Campaigns are deterministic in [seed], and the
-    record list is identical for every executor. *)
+    one pure spec per injection counter-style from [seed], the {!Executor}
+    loop (or a process fabric's workers) runs them, and {!merge} folds the
+    results back in trial order. Campaigns are deterministic in [seed], and
+    the record list is identical for every worker count. *)
 
 type config = {
   arch : Ferrite_kir.Image.arch;
@@ -52,7 +52,7 @@ type supervision = {
   sv_resume : bool;
       (** recover the journal's completed trials first and skip them; the
           resumed campaign's records/collector/traces/telemetry are
-          byte-identical to an uninterrupted run under any executor *)
+          byte-identical to an uninterrupted run under any worker count *)
 }
 
 val default_supervision : supervision
@@ -61,14 +61,14 @@ val default_supervision : supervision
 val plan_fingerprint : ?supervision:supervision -> config -> string
 (** The canonical, jobs-independent plan description whose
     {!Journal.plan_hash_of_string} binds a journal to one campaign: every
-    config field that shapes a trial record is included, the executor choice
+    config field that shapes a trial record is included, the worker count
     deliberately is not (a journal written under [--jobs 4] must seed a
     [--jobs 1] resume). With [?supervision], the chaos plan and retry ceiling
     are appended, since they shape quarantined records. *)
 
 type result = {
   cfg : config;
-  records : Outcome.record list;  (** in trial order, executor-independent *)
+  records : Outcome.record list;  (** in trial order, worker-count-independent *)
   traces : Ferrite_trace.Tracer.trial list;
       (** per-trial event traces in trial order (empty event lists unless a
           retaining [tracer] config was passed to {!run}) *)
@@ -78,7 +78,7 @@ type result = {
           carry [None] — the v2 journal format predates dumps) *)
   telemetry : Ferrite_trace.Telemetry.t;
       (** exact campaign counters; [tl_boots] is filled from [reboots] and is
-          the only executor-dependent field *)
+          the only scheduling-dependent field *)
   hot_profile : (string * float) list;  (** the profiled function weights used *)
   reboots : int;  (** boots + policy reboots, summed over workers *)
   collector : Collector.stats;  (** merged dump-channel delivery tallies *)
@@ -86,8 +86,9 @@ type result = {
       (** TLB / dirty-restore / decode-cache counters summed over workers —
           scheduling-dependent diagnostics, like [reboots] *)
   supervision : Supervisor.report option;
-      (** retry / quarantine / resume bookkeeping; [Some] iff {!run} was
-          given [?supervision] *)
+      (** retry / quarantine / resume bookkeeping; [Some] iff the campaign
+          ran supervised ({!run}'s [?supervision], or a fabric given a
+          policy, chaos plan or journal) *)
 }
 
 val plan : config -> Trial.spec array
@@ -103,22 +104,35 @@ val environment : config -> Trial.env
 
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
-  ?executor:Executor.t ->
   ?tracer:Ferrite_trace.Tracer.config ->
   ?supervision:supervision ->
   config ->
   result
-(** Run every trial. [executor] defaults to {!Executor.default}
-    (sequential); [Executor.Parallel] produces the identical [records],
-    [collector], [traces] and [telemetry] fields — only the diagnostics
-    [reboots] (and hence [telemetry.tl_boots]) and [cache] may differ, by at
-    most one boot per extra worker.
+(** Run every trial sequentially. A process fabric running the same config
+    produces the identical [records], [collector], [traces], [dumps] and
+    [telemetry] fields — only the diagnostics [reboots] (and hence
+    [telemetry.tl_boots]) and [cache] may differ, by at most one boot per
+    extra worker.
+    [progress] observes [done_] = 1, 2, …, [total], each exactly once.
     [tracer] defaults to {!Ferrite_trace.Tracer.telemetry_only}: counters are
     always exact; pass a positive capacity to retain per-trial event
     timelines.
     [supervision] enables crash containment (see {!supervision} above); with
     [sv_resume], a journal written for a {e different} plan fingerprint
     raises {!Journal.Header_mismatch} instead of silently mixing campaigns. *)
+
+val merge :
+  ?supervision:Supervisor.report ->
+  config ->
+  hot_profile:(string * float) list ->
+  reboots:int ->
+  cache:Ferrite_machine.Cache_stats.t ->
+  Executor.trial list ->
+  result
+(** The one merge fold, used by {!run} and by the process fabric: per-trial
+    results, in trial-index order, become the campaign result. Collector
+    stats and telemetry are folded from the same zeros in the same order
+    whatever ran the trials; [telemetry.tl_boots] is set from [reboots]. *)
 
 (** {2 Aggregate views (the rows of Tables 5/6)} *)
 

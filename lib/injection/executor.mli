@@ -1,85 +1,38 @@
-(** Campaign executors: the {e execute} and {e merge} halves of the
+(** The sequential trial loop: the {e execute} half of the campaign's
     plan → execute → merge pipeline.
 
-    Both executors consume the same {!Trial.spec} array and produce the same
-    {!outcome} — bit-identical records in trial-index order — because each
-    trial's record is a pure function of its spec (see {!Trial}).  The only
-    fields allowed to differ between executors are the diagnostics [reboots]
-    and [cache]: every worker boots its own machine once, so a parallel run
-    reports up to [domains - 1] extra boots (and correspondingly different
-    cache counters). *)
+    [run] executes a {!Trial.spec} array in index order on one worker and
+    hands back each trial's raw result. The parallel path is the process
+    fabric ([Ferrite_fabric.Fabric]), whose workers run the same
+    {!Trial.run}; both feed their per-trial results to one fold,
+    {!Campaign.merge}, so a fabric campaign reproduces a sequential one
+    byte for byte. *)
 
-type t =
-  | Sequential  (** one worker, in-order — the default, today's behaviour *)
-  | Parallel of { domains : int }
-      (** an OCaml 5 [Domain] pool with chunked self-scheduling and
-          deterministic merge *)
-
-val default : t
-(** {!Sequential}. *)
-
-val of_jobs : int -> t
-(** [of_jobs n] is the [--jobs N] CLI mapping: {!Sequential} for [n] of 0 or
-    1, otherwise [Parallel] with [n] clamped to
-    [Domain.recommended_domain_count ()] (extra domains beyond the cores only
-    multiply per-worker boots) — which is again {!Sequential} when the clamp
-    yields 1. Raises [Invalid_argument] on negative [n]. *)
-
-val auto : unit -> t
-(** [of_jobs (Domain.recommended_domain_count ())]. *)
-
-val describe : t -> string
-(** ["sequential"] or ["parallel:N"], for logs and bench output. *)
-
-val chunk_size : total:int -> workers:int -> int
-(** The chunked-plan-iterator granularity both executors use:
-    [max 1 (total / (workers * 8))]. Small enough to rebalance the long tail
-    (trial costs vary ~100× between Not-Activated and Hang), large enough to
-    amortise claim overhead. The distributed fabric's lease table shards with
-    the same function, so a fabric campaign and a domain-pool campaign cut
-    one plan identically. *)
+type trial = Journal.entry * Crash_dump.t option
+(** One trial's result: the journal entry (record, collector tally, event
+    trace) and its structured crash dump — [Some] exactly for [Known_crash]
+    records of freshly-run trials. Journal-served trials (resume) carry
+    [None]: the v2 on-disk format predates dumps. *)
 
 type outcome = {
-  records : Outcome.record array;
-      (** one record per trial, indexed by {!Trial.spec.index} — already
-          sorted by trial regardless of completion order *)
-  traces : Ferrite_trace.Tracer.trial array;
-      (** per-trial event traces, same indexing — they survive the parallel
-          merge in trial order, so Sequential and Parallel render the same
-          timelines byte for byte *)
-  dumps : Crash_dump.t option array;
-      (** structured crash dumps, same indexing; [Some] exactly for
-          [Known_crash] records of freshly-run trials. Journal-served trials
-          (resume) carry [None]: the v2 on-disk format predates dumps. *)
-  telemetry : Ferrite_trace.Telemetry.t;
-      (** folded from [traces] in index order; every field except [tl_boots]
-          (filled by the campaign) is executor-independent *)
-  reboots : int;  (** summed over workers *)
-  collector : Collector.stats;  (** merged delivery tallies *)
+  trials : trial array;  (** indexed by {!Trial.spec.index} *)
+  reboots : int;  (** boots + policy reboots of the worker *)
   cache : Ferrite_machine.Cache_stats.t;
-      (** TLB / dirty-restore / decode-cache counters summed over workers.
-          Like [reboots], these depend on scheduling and on whether the fast
-          paths are enabled — diagnostics only, never folded into records or
-          telemetry *)
+      (** TLB / dirty-restore / decode-cache counters of the worker's
+          machine. Like [reboots], these depend on scheduling and on whether
+          the fast paths are enabled — diagnostics only, never folded into
+          records or telemetry *)
 }
 
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
   ?trace:Ferrite_trace.Tracer.config ->
   ?supervisor:Supervisor.t ->
-  t ->
   Trial.env ->
   Trial.spec array ->
   outcome
-(** Execute every trial.
-
-    {b Progress ordering guarantee.} [progress] calls are serialized behind a
-    mutex, and the completed-trial counter is incremented {e inside} that
-    mutex: under every executor the callback observes [done_] = 1, 2, …,
-    [total], each exactly once and strictly increasing. With [Parallel] the
-    calls come from worker domains (not the calling domain), so the callback
-    must not touch domain-local state; [done_] counts completed trials, not
-    trial indices.
+(** Execute every trial in index order. [progress] observes [done_] = 1, 2,
+    …, [total], each exactly once.
 
     [trace] (default {!Ferrite_trace.Tracer.telemetry_only}) sets each
     trial's tracer capacity.
@@ -88,5 +41,5 @@ val run :
     ({!Supervisor.run_trial}): trials already present in its recovery set are
     served from the journal (resume skip) instead of re-run, fresh results
     are streamed to its journal, and contained failures yield quarantined
-    {!Outcome.Infrastructure_failure} records. Without a supervisor the
-    executor behaves exactly as before — any exception aborts the run. *)
+    {!Outcome.Infrastructure_failure} records. Without a supervisor any
+    exception aborts the run. *)

@@ -14,8 +14,8 @@ module Iofault = Ferrite_iofault.Iofault
    frames from the start and stops at the first frame that is incomplete or
    fails its CRC; everything before that point is the longest valid prefix,
    everything after is truncated. The header's plan hash ties the journal to
-   one campaign plan (suite/seed/engine — everything except the executor and
-   job count, which never affect records), so resuming against the wrong
+   one campaign plan (suite/seed/engine — everything except the worker
+   count, which never affects records), so resuming against the wrong
    campaign is rejected instead of silently mixing trials. *)
 
 let magic = "FERRITEJ"

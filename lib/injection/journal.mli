@@ -9,8 +9,8 @@
     against a journal written by a different suite/seed/config raises
     {!Header_mismatch} instead of silently mixing campaigns.
 
-    Writers are single-threaded: the executor serializes appends behind the
-    supervisor's lock. *)
+    Writers are single-threaded: one process (the sequential trial loop or
+    the fabric controller) appends. *)
 
 exception
   Header_mismatch of {
@@ -45,7 +45,7 @@ type entry = {
   je_stats : Collector.stats;
   je_trace : Ferrite_trace.Tracer.trial;
 }
-(** Everything the executor merge needs, so a resumed campaign reproduces an
+(** Everything {!Campaign.merge} needs, so a resumed campaign reproduces an
     uninterrupted run's records, collector stats, traces and telemetry
     byte for byte. *)
 

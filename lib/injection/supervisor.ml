@@ -4,11 +4,10 @@
    The paper's campaigns survived >115,000 injections because the NFTAPE
    harness was itself fault-tolerant: watchdog cards hard-rebooted hung
    targets and the controller retried or wrote off individual runs. This
-   module is the controller half for our harness. One supervisor instance is
-   shared by every executor worker; all mutable state (tallies, the
-   supervision event ring, the journal writer) sits behind a single mutex, so
-   the executors' Sequential == Parallel byte-identity is preserved for every
-   non-quarantined trial. *)
+   module is the controller half for our harness. One supervisor instance
+   serves one worker (the sequential loop, or one fabric worker process), and
+   supervision never perturbs the byte-identity of non-quarantined trials
+   across worker counts. *)
 
 module Event = Ferrite_trace.Event
 module Tracer = Ferrite_trace.Tracer
@@ -117,7 +116,6 @@ let zero_report =
 type t = {
   policy : policy;
   chaos : chaos;
-  lock : Mutex.t;
   journal : Journal.writer option;
   completed : (int, Journal.entry) Hashtbl.t;
   tracer : Tracer.t;  (* supervision timeline, bounded like any flight recorder *)
@@ -139,7 +137,6 @@ let create ?(policy = default_policy) ?(chaos = no_chaos) ?journal
   {
     policy = validated_policy policy;
     chaos;
-    lock = Mutex.create ();
     journal;
     completed;
     tracer = Tracer.create { Tracer.trace_capacity = 4096 };
@@ -151,28 +148,27 @@ let create ?(policy = default_policy) ?(chaos = no_chaos) ?journal
   }
 
 let report t =
-  Mutex.protect t.lock (fun () ->
-      {
-        sup_retries = t.retries;
-        sup_quarantined =
-          List.sort (fun a b -> compare a.q_index b.q_index) t.quarantined;
-        sup_resume_skips = t.resume_skips;
-        sup_journal_entries = t.journal_entries;
-        sup_journal_truncated = t.journal_truncated;
-        sup_events = Tracer.events t.tracer;
-      })
+  {
+    sup_retries = t.retries;
+    sup_quarantined = List.sort (fun a b -> compare a.q_index b.q_index) t.quarantined;
+    sup_resume_skips = t.resume_skips;
+    sup_journal_entries = t.journal_entries;
+    sup_journal_truncated = t.journal_truncated;
+    sup_events = Tracer.events t.tracer;
+  }
 
-let lookup t index = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.completed index)
+let retries t = t.retries
+
+let lookup t index = Hashtbl.find_opt t.completed index
 
 let note_skip t index =
-  Mutex.protect t.lock (fun () ->
-      t.resume_skips <- t.resume_skips + 1;
-      Tracer.record t.tracer zero_stamp (Event.Resume_skip { trial = index }))
+  t.resume_skips <- t.resume_skips + 1;
+  Tracer.record t.tracer zero_stamp (Event.Resume_skip { trial = index })
 
 let journal_append t entry =
   match t.journal with
   | None -> ()
-  | Some w -> Mutex.protect t.lock (fun () -> Journal.append w entry)
+  | Some w -> Journal.append w entry
 
 (* ---------- trial containment ---------- *)
 
@@ -194,9 +190,8 @@ let failure_reason = function
   | Deadline_overrun s -> Printf.sprintf "host deadline overrun (%.3fs)" s
 
 let note_retry t index attempt reason =
-  Mutex.protect t.lock (fun () ->
-      t.retries <- t.retries + 1;
-      Tracer.record t.tracer zero_stamp (Event.Trial_retry { trial = index; attempt; reason }))
+  t.retries <- t.retries + 1;
+  Tracer.record t.tracer zero_stamp (Event.Trial_retry { trial = index; attempt; reason })
 
 (* A quarantined trial still yields a record (so trial indexing and the merge
    stay dense), a zero collector tally, and a synthesized trace whose events
@@ -252,11 +247,10 @@ let quarantined_result t ~trace ~model (spec : Trial.spec) reasons =
   let attempts = List.length reasons in
   let last_reason = List.nth reasons (attempts - 1) in
   let index = spec.Trial.index in
-  Mutex.protect t.lock (fun () ->
-      t.quarantined <-
-        { q_index = index; q_attempts = attempts; q_reason = last_reason } :: t.quarantined;
-      Tracer.record t.tracer zero_stamp
-        (Event.Trial_quarantined { trial = index; attempts; reason = last_reason }));
+  t.quarantined <-
+    { q_index = index; q_attempts = attempts; q_reason = last_reason } :: t.quarantined;
+  Tracer.record t.tracer zero_stamp
+    (Event.Trial_quarantined { trial = index; attempts; reason = last_reason });
   result
 
 let run_trial t ~trace env cache (spec : Trial.spec) =

@@ -11,9 +11,9 @@
     {!Outcome.Infrastructure_failure} and excluded from the paper's
     Table 5/6 percentages.
 
-    One supervisor instance is shared by all executor workers; every mutable
-    field sits behind one mutex, so supervision never perturbs the
-    Sequential == Parallel byte-identity of non-quarantined trials. *)
+    One supervisor serves one worker (the sequential loop, or one fabric
+    worker process). Supervision never perturbs the byte-identity of
+    non-quarantined trials across worker counts. *)
 
 (** {2 Retry policy} *)
 
@@ -48,7 +48,7 @@ val backoff_seconds : policy -> int -> float
 
     Planted failures at seeded trial indices — the harness proving in CI that
     it survives the chaos it creates. All plans are deterministic, so chaos
-    campaigns still produce identical records under every executor. *)
+    campaigns still produce identical records under every worker count. *)
 
 type chaos = {
   ch_raise : (int * int) list;
@@ -100,17 +100,20 @@ val create :
   ?recovery:Journal.recovery ->
   unit ->
   t
-(** [journal] receives one entry per freshly-completed trial (appends are
-    serialized internally); [recovery]'s entries become the completed set
-    that {!lookup} serves and executors skip. *)
+(** [journal] receives one entry per freshly-completed trial;
+    [recovery]'s entries become the completed set
+    that {!lookup} serves and the trial loop skips. *)
 
 val report : t -> report
+
+val retries : t -> int
+(** [sup_retries] so far, without building a whole {!report}. *)
 
 val lookup : t -> int -> Journal.entry option
 (** The journal entry for a trial completed by a previous run, if any. *)
 
 val note_skip : t -> int -> unit
-(** Count a resume skip (the executor served the trial from {!lookup}). *)
+(** Count a resume skip (the trial loop served the trial from {!lookup}). *)
 
 val journal_append : t -> Journal.entry -> unit
 (** Append one completed trial to the journal (no-op without one). *)

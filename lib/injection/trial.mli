@@ -5,9 +5,9 @@
     pure value derived counter-style from the campaign seed and the trial
     index ({!Ferrite_machine.Rng.derive}).  Because a spec carries its own
     target/workload/collector seeds, any trial can be run in isolation, in
-    any order, on any domain, and its {!Outcome.record} depends on the spec
-    alone — which is what lets {!Executor.Parallel} reproduce
-    {!Executor.Sequential} bit for bit. *)
+    any order, in any worker process, and its {!Outcome.record} depends on
+    the spec alone — which is what lets a process fabric reproduce the
+    sequential {!Executor} loop bit for bit. *)
 
 type spec = {
   index : int;  (** position in the campaign, 0-based; records are merged back in this order *)

@@ -3,10 +3,11 @@
     activity.
 
     These are {e diagnostics}, not architectural state: they are monotonic,
-    excluded from {!Memory.snapshot}/[restore], and — like the executor's
-    [reboots] count — may differ between [Sequential] and [Parallel] runs of
-    the same campaign (each worker warms its own caches). Records, telemetry
-    and traces remain executor-independent.
+    excluded from {!Memory.snapshot}/[restore], and — like a campaign's
+    [reboots] count — may differ between a sequential run and a
+    process-fabric run of the same campaign (each worker warms its own
+    caches). Records, telemetry and traces remain independent of the worker
+    count.
 
     All counters saturate at [max_int] under {!merge} and never go negative;
     per-trial or per-phase rates must be computed with {!delta} over two

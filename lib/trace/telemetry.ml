@@ -3,7 +3,7 @@
    Telemetry is accumulated per trial by the tracer (independently of the
    bounded event ring, so it is exact even when events are dropped), merged
    across trials by component-wise sums — associative and commutative, so the
-   merged value is identical for every executor — and surfaced in campaign
+   merged value is identical for every worker count — and surfaced in campaign
    summaries and the report. *)
 
 type t = {
@@ -19,7 +19,7 @@ type t = {
   tl_retransmits : int;  (* dump retransmissions over the lossy channel *)
   tl_retries : int;  (* supervisor retry attempts recorded in trial traces *)
   tl_quarantines : int;  (* trials quarantined as infrastructure failures *)
-  tl_boots : int;  (* per-worker boots + policy reboots; executor-dependent *)
+  tl_boots : int;  (* per-worker boots + policy reboots; worker-count-dependent *)
   tl_events : int;  (* events recorded, including those dropped by the ring *)
   tl_dropped : int;
 }

@@ -3,7 +3,8 @@
     Accumulated by the {!Tracer} independently of its bounded event ring (so
     the counts are exact even when events are dropped), and merged across
     trials and workers by component-wise sums — associative and commutative
-    with {!zero} as the unit, so the merged value is executor-independent.
+    with {!zero} as the unit, so the merged value is independent of the
+    worker count.
 
     {b Telemetry invariants} (checked by tests, relied on by the report):
     - [tl_dumps_sent + tl_dumps_lost] equals the number of classified crashes
@@ -12,8 +13,8 @@
       activation per trial;
     - [tl_events] counts every recorded event, of which [tl_dropped] fell out
       of the bounded ring; [tl_events - tl_dropped] events are replayable;
-    - all fields except [tl_boots] are identical under
-      [Executor.Sequential] and [Executor.Parallel]. *)
+    - all fields except [tl_boots] are identical for a sequential run and
+      a process-fabric run of the same campaign. *)
 
 type t = {
   tl_trials : int;
@@ -29,10 +30,10 @@ type t = {
   tl_retries : int;
       (** supervisor retry attempts recorded in trial traces (only quarantined
           trials carry their failed attempts; a retried-then-successful trial
-          keeps its clean trace so records stay executor- and resume-invariant
+          keeps its clean trace so records stay worker- and resume-invariant
           — the supervisor's own report tallies those) *)
   tl_quarantines : int;  (** trials quarantined as infrastructure failures *)
-  tl_boots : int;  (** worker boots + policy reboots (executor-dependent) *)
+  tl_boots : int;  (** worker boots + policy reboots (worker-count-dependent) *)
   tl_events : int;
   tl_dropped : int;
 }
@@ -41,7 +42,7 @@ val zero : t
 val merge : t -> t -> t
 val with_boots : t -> int -> t
 (** [with_boots t n] sets [tl_boots] (filled in by the campaign from the
-    executor's reboot tally, which is per-worker and so not a per-trial sum). *)
+    reboot tally, which is per-worker and so not a per-trial sum). *)
 
 val fields : t -> (string * int) list
 (** Label/value pairs in a fixed order (report tables, exporters). *)

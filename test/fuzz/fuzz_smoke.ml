@@ -3,8 +3,7 @@
    Four stages:
    1. canonical-stream roundtrip fuzz, >= 2,000 generated streams per ISA;
    2. corrupted-stream robustness fuzz (decoder totality + canonicalisation);
-   3. >= 100 differential fault trials under all four configurations
-      {fast, reference} x {Sequential, Parallel};
+   3. >= 100 differential fault trials, fast paths on vs off (reference);
    4. an artificially planted decoder bug (Jcc L decoded as Jcc GE) must be
       caught, shrunk to a <= 3-instruction reproducer, written as a repro
       file, and that file must fail under the planted bug while passing under

@@ -7,7 +7,7 @@
 
 open Ferrite_machine
 module Campaign = Ferrite_injection.Campaign
-module Executor = Ferrite_injection.Executor
+module Fabric = Ferrite_fabric.Fabric
 module Engine = Ferrite_injection.Engine
 module Target = Ferrite_injection.Target
 module Image = Ferrite_kir.Image
@@ -111,12 +111,12 @@ let test_risc_cpu_store_evicts () =
 
 (* --- differential property ------------------------------------------------ *)
 
-let run_campaign ~fast ~executor cfg =
+(* forked fabric workers inherit the fast-path default set here *)
+let run_campaign ?(workers = 1) ~fast cfg =
   Memory.set_fast_paths_default fast;
   Fun.protect
     ~finally:(fun () -> Memory.set_fast_paths_default true)
-    (fun () ->
-      Campaign.run ~executor ~tracer:Ferrite_trace.Tracer.default_config cfg)
+    (fun () -> fst (Fabric.run ~workers ~tracer:Ferrite_trace.Tracer.default_config cfg))
 
 let kinds = [| Target.Stack; Target.Data; Target.Code; Target.Register |]
 let arches = [| Image.Cisc; Image.Risc |]
@@ -133,15 +133,13 @@ let prop_fast_paths_invisible =
           engine = { Engine.default_config with Engine.step_budget = 200_000 };
         }
       in
-      let base = run_campaign ~fast:false ~executor:Executor.Sequential cfg in
-      let seq = run_campaign ~fast:true ~executor:Executor.Sequential cfg in
-      let par =
-        run_campaign ~fast:true ~executor:(Executor.Parallel { domains = 3 }) cfg
-      in
+      let base = run_campaign ~fast:false cfg in
+      let seq = run_campaign ~fast:true cfg in
+      let par = run_campaign ~workers:2 ~fast:true cfg in
       base.Campaign.records = seq.Campaign.records
       && base.Campaign.telemetry = seq.Campaign.telemetry
       && base.Campaign.traces = seq.Campaign.traces
-      (* parallel may differ in boots (hence tl_boots) but nothing else *)
+      (* the fabric may differ in boots (hence tl_boots) but nothing else *)
       && base.Campaign.records = par.Campaign.records
       && base.Campaign.traces = par.Campaign.traces
       && Ferrite_trace.Telemetry.with_boots base.Campaign.telemetry par.Campaign.reboots
@@ -155,11 +153,11 @@ let test_uncached_reports_no_cache_activity () =
       engine = { Engine.default_config with Engine.step_budget = 100_000 };
     }
   in
-  let r = run_campaign ~fast:false ~executor:Executor.Sequential cfg in
+  let r = run_campaign ~fast:false cfg in
   check_int "no tlb hits" 0 r.Campaign.cache.Cache_stats.cs_tlb_hits;
   check_int "no decode hits" 0 r.Campaign.cache.Cache_stats.cs_decode_hits;
   check_int "no fast restores" 0 r.Campaign.cache.Cache_stats.cs_restore_fast;
-  let rc = run_campaign ~fast:true ~executor:Executor.Sequential cfg in
+  let rc = run_campaign ~fast:true cfg in
   check_bool "cached run reports decode hits" true
     (rc.Campaign.cache.Cache_stats.cs_decode_hits > 0);
   check_bool "identical records regardless" true

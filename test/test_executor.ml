@@ -1,9 +1,11 @@
 (* Tests for the plan -> execute -> merge decomposition: trial-plan purity,
-   executor equivalence (Parallel == Sequential, record for record), the
-   pristine-state system cache, and collector stat merging. *)
+   worker-count equivalence (a process fabric == the sequential loop, record
+   for record), the --jobs mapping, the pristine-state system cache, and
+   collector stat merging. *)
 
 open Ferrite_kernel
 open Ferrite_injection
+module Fabric = Ferrite_fabric.Fabric
 module Image = Ferrite_kir.Image
 module Rng = Ferrite_machine.Rng
 
@@ -48,7 +50,7 @@ let test_plan_seeds_distinct () =
   let seeds = Array.to_list (Array.map (fun s -> s.Trial.target_seed) specs) in
   check_int "distinct per-trial streams" 200 (List.length (List.sort_uniq compare seeds))
 
-(* ---------- executor equivalence ---------- *)
+(* ---------- worker-count equivalence ---------- *)
 
 let all_kinds = [ Target.Stack; Target.Register; Target.Data; Target.Code ]
 
@@ -67,7 +69,7 @@ let test_parallel_matches_sequential () =
             { (Campaign.default ~arch ~kind ~injections:10) with Campaign.seed = 0xBEE5L }
           in
           let rs = Campaign.run cfg in
-          let rp = Campaign.run ~executor:(Executor.Parallel { domains = 4 }) cfg in
+          let rp, _ = Fabric.run ~workers:2 cfg in
           let label =
             Printf.sprintf "%s/%s"
               (match arch with Image.Cisc -> "p4" | Image.Risc -> "g4")
@@ -76,7 +78,8 @@ let test_parallel_matches_sequential () =
           check_bool (label ^ ": records identical") true
             (rs.Campaign.records = rp.Campaign.records);
           check_bool (label ^ ": collector stats identical") true
-            (rs.Campaign.collector = rp.Campaign.collector))
+            (rs.Campaign.collector = rp.Campaign.collector);
+          check_bool (label ^ ": dumps identical") true (rs.Campaign.dumps = rp.Campaign.dumps))
         all_kinds)
     [ Image.Cisc; Image.Risc ]
 
@@ -85,30 +88,22 @@ let test_parallel_is_deterministic () =
     { (Campaign.default ~arch:Image.Cisc ~kind:Target.Data ~injections:16) with
       Campaign.seed = 0x5EEDL }
   in
-  let executor = Executor.Parallel { domains = 3 } in
-  let r1 = Campaign.run ~executor cfg and r2 = Campaign.run ~executor cfg in
-  check_bool "two parallel runs agree" true (r1.Campaign.records = r2.Campaign.records);
-  check_bool "reboot counts agree" true (r1.Campaign.reboots = r2.Campaign.reboots)
+  let (r1, _), (r2, _) = (Fabric.run ~workers:3 cfg, Fabric.run ~workers:3 cfg) in
+  check_bool "two fabric runs agree" true (r1.Campaign.records = r2.Campaign.records);
+  check_bool "traces agree" true (r1.Campaign.traces = r2.Campaign.traces)
 
 let test_executor_helpers () =
-  check_bool "jobs<=1 is sequential" true
-    (Executor.of_jobs 1 = Executor.Sequential && Executor.of_jobs 0 = Executor.Sequential);
+  (* the --jobs mapping: 0 is one worker per core, counts clamp to the cores *)
   let cores = Domain.recommended_domain_count () in
-  let expected n =
-    let n = min n cores in
-    if n <= 1 then Executor.Sequential else Executor.Parallel { domains = n }
-  in
-  check_bool "jobs>1 is parallel, clamped to cores" true
-    (Executor.of_jobs 4 = expected 4);
-  check_bool "huge job counts clamp to the core count" true
-    (Executor.of_jobs 10_000 = expected 10_000);
+  check_int "jobs 1 is one worker" 1 (Fabric.workers_for_jobs 1);
+  check_int "jobs 0 is one worker per core" cores (Fabric.workers_for_jobs 0);
+  check_int "jobs 2 clamps to the cores" (min 2 cores) (Fabric.workers_for_jobs 2);
+  check_int "huge job counts clamp to the core count" cores
+    (Fabric.workers_for_jobs 10_000);
   check_bool "negative jobs rejected" true
-    (match Executor.of_jobs (-2) with
+    (match Fabric.workers_for_jobs (-2) with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  check_bool "describe" true
-    (Executor.describe Executor.Sequential = "sequential"
-    && Executor.describe (Executor.Parallel { domains = 2 }) = "parallel:2")
+    | _ -> false)
 
 (* ---------- system cache / logical reboot ---------- *)
 

@@ -87,7 +87,13 @@ let mk_msg i =
   | 5 -> Wire.Steal_return { sr_lease = i; sr_lo = i; sr_hi = i + (i mod 3) }
   | 6 ->
     Wire.Result
-      { rs_seq = i; rs_index = i mod 11; rs_entry = mk_entry (i mod 11); rs_dump = None }
+      {
+        rs_seq = i;
+        rs_index = i mod 11;
+        rs_retries = i mod 3;
+        rs_entry = mk_entry (i mod 11);
+        rs_dump = None;
+      }
   | 7 -> Wire.Ack { ak_seq = i }
   | 8 -> Wire.Heartbeat { hb_worker = i }
   | _ -> Wire.Bye { bye_stats = (if i land 1 = 0 then None else Some (mk_bye i)) }
@@ -165,7 +171,7 @@ let test_codec_carries_real_dump () =
   | None -> Alcotest.fail "no crash dump in 12 stack injections (seed drift?)"
   | Some dump ->
     let msg =
-      Wire.Result { rs_seq = 3; rs_index = 5; rs_entry = mk_entry 5; rs_dump = dump }
+      Wire.Result { rs_seq = 3; rs_index = 5; rs_retries = 0; rs_entry = mk_entry 5; rs_dump = dump }
     in
     check_bool "dump survives the codec" true
       (Wire.decode_payload (Wire.encode_payload msg) = Some msg)

@@ -1,7 +1,7 @@
 (* Tests for the fault-model algebra and weighted targeting refactor:
    model spec parsing, per-model campaign smoke, targeting-policy weight
    validation, the refactor-invariance property (legacy config byte-identical
-   across executors), and journal-format compatibility — a v1 (pre-refactor)
+   across worker counts), and journal-format compatibility — a v1 (pre-refactor)
    journal must resume cleanly and reproduce the pre-refactor records
    bit for bit. *)
 
@@ -313,7 +313,7 @@ let test_targeting_policies_run () =
 
 (* The legacy configuration (Single_bit_transient, Uniform) must produce
    byte-identical campaigns — records, collector stats, traces, telemetry —
-   whatever the executor: the refactored engine may not perturb the paper's
+   whatever the worker count: the refactored engine may not perturb the paper's
    runs. Seeds/kind/arch are drawn by qcheck. *)
 let prop_refactor_invariance =
   let arb =
@@ -336,21 +336,23 @@ let prop_refactor_invariance =
          check_bool "legacy model in default config" true
            (cfg.Campaign.fault_model = Fault_model.Single_bit_transient
            && cfg.Campaign.targeting = Target.Uniform);
+         (* No_sharing: results decoded off the fabric wire are equal values
+            with a different heap sharing layout *)
          let view (r : Campaign.result) =
            Marshal.to_string
              (r.Campaign.records, r.Campaign.collector, r.Campaign.traces,
               Ferrite_trace.Telemetry.with_boots r.Campaign.telemetry 0)
-             []
+             [ Marshal.No_sharing ]
          in
-         let run jobs =
-           view (Campaign.run ~executor:(Executor.of_jobs jobs) ~tracer:Tracer.default_config cfg)
+         let run workers =
+           view (fst (Ferrite_fabric.Fabric.run ~workers ~tracer:Tracer.default_config cfg))
          in
          let j1 = run 1 in
-         j1 = run 2 && j1 = run 4))
+         j1 = run 2 && j1 = run 3))
 
 let test_model_campaign_executor_invariant () =
   (* same invariance for a non-legacy cell: the per-trial fault stream is in
-     the spec, so parallel execution cannot reorder its draws *)
+     the spec, so a worker fleet cannot reorder its draws *)
   let cfg =
     {
       (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections:8) with
@@ -360,7 +362,7 @@ let test_model_campaign_executor_invariant () =
     }
   in
   let rs = Campaign.run cfg in
-  let rp = Campaign.run ~executor:(Executor.of_jobs 3) cfg in
+  let rp, _ = Ferrite_fabric.Fabric.run ~workers:3 cfg in
   check_bool "records identical" true (rs.Campaign.records = rp.Campaign.records);
   check_bool "collector identical" true (rs.Campaign.collector = rp.Campaign.collector)
 

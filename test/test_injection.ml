@@ -440,8 +440,8 @@ let test_collector_rate () =
   let frac = float_of_int (Collector.lost c) /. 2000.0 in
   check_bool "about 20% lost" true (frac > 0.15 && frac < 0.25)
 
-(* The parallel executor merges per-worker partial tallies in whatever order
-   the domains finish, so the merge must be a commutative monoid on stats. *)
+(* Collector tallies fold from per-trial stats; the fold must not care how
+   trials were grouped, so the merge must be a commutative monoid on stats. *)
 let stats_arb =
   QCheck.map
     (fun ((r, l), (rt, g, d)) ->

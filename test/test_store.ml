@@ -1,5 +1,5 @@
 (* Columnar result store: encoding roundtrips, framing/torn-tail recovery,
-   cross-session append, executor invariance of the file bytes, and the
+   cross-session append, worker-count invariance of the file bytes, and the
    byte-identity of store-backed reporting against the in-memory tables. *)
 
 open Ferrite_injection
@@ -182,15 +182,16 @@ let write_result path result =
   Store.close w
 
 let test_store_bytes_executor_invariant () =
-  (* same campaign, sequential vs parallel: byte-identical store files (rows
-     are merged in trial order and dictionaries are first-appearance) *)
+  (* same campaign, sequential vs a 3-worker fabric: byte-identical store
+     files (rows are merged in trial order and dictionaries are
+     first-appearance) *)
   let cfg = { (campaign Target.Data 30) with Campaign.seed = 0xF00DL } in
-  let p1 = tmp_store () and p4 = tmp_store () in
-  write_result p1 (Campaign.run ~executor:Executor.Sequential cfg);
-  write_result p4 (Campaign.run ~executor:(Executor.Parallel { domains = 4 }) cfg);
-  check_string "store bytes identical across executors" (read_file p1) (read_file p4);
+  let p1 = tmp_store () and p3 = tmp_store () in
+  write_result p1 (Campaign.run cfg);
+  write_result p3 (fst (Ferrite_fabric.Fabric.run ~workers:3 cfg));
+  check_string "store bytes identical across worker counts" (read_file p1) (read_file p3);
   Sys.remove p1;
-  Sys.remove p4
+  Sys.remove p3
 
 let test_aggregate_matches_in_memory () =
   let cfg = campaign Target.Code 40 in

@@ -3,14 +3,13 @@
    every observable — records, telemetry, event traces, store bytes — must be
    bit-identical to the precise per-step interpreter. A differential qcheck
    property replays whole campaigns with superblocks disabled
-   ([Memory.set_superblocks_default false]) across fault models and executor
-   widths; unit tests pin each precise-fallback edge (self-modifying stores,
+   ([Memory.set_superblocks_default false]) across fault models and worker
+   counts; unit tests pin each precise-fallback edge (self-modifying stores,
    mid-block exceptions, armed breakpoints, block-boundary branches) and the
    overflow/monotonicity contract of the diagnostic counters. *)
 
 open Ferrite_machine
 module Campaign = Ferrite_injection.Campaign
-module Executor = Ferrite_injection.Executor
 module Engine = Ferrite_injection.Engine
 module Target = Ferrite_injection.Target
 module Fault_model = Ferrite_injection.Fault_model
@@ -290,12 +289,14 @@ let test_cache_stats_monotone_across_restore () =
 
 (* --- differential property: whole campaigns, byte for byte ---------------- *)
 
-let run_campaign ~sb ~executor cfg =
+(* forked fabric workers inherit the superblock default set here *)
+let run_campaign ?(workers = 1) ~sb cfg =
   Memory.set_superblocks_default sb;
   Fun.protect
     ~finally:(fun () -> Memory.set_superblocks_default true)
     (fun () ->
-      Campaign.run ~executor ~tracer:Ferrite_trace.Tracer.default_config cfg)
+      fst
+        (Ferrite_fabric.Fabric.run ~workers ~tracer:Ferrite_trace.Tracer.default_config cfg))
 
 (* The exact bytes the columnar store would persist for this campaign. *)
 let store_bytes res =
@@ -315,7 +316,7 @@ let models = Array.of_list Fault_model.sweep_models
 
 let prop_superblocks_invisible =
   QCheck.Test.make
-    ~name:"sb-on == sb-off (records, telemetry, traces, store bytes; jobs 1/2/4)"
+    ~name:"sb-on == sb-off (records, telemetry, traces, store bytes; 1 and 2 workers)"
     ~count:4
     QCheck.(
       quad (int_bound 0xFFFF) (int_bound 3) (int_bound 1)
@@ -329,14 +330,9 @@ let prop_superblocks_invisible =
           engine = { Engine.default_config with Engine.step_budget = 200_000 };
         }
       in
-      let base = run_campaign ~sb:false ~executor:Executor.Sequential cfg in
-      let seq = run_campaign ~sb:true ~executor:Executor.Sequential cfg in
-      let par2 =
-        run_campaign ~sb:true ~executor:(Executor.Parallel { domains = 2 }) cfg
-      in
-      let par4 =
-        run_campaign ~sb:true ~executor:(Executor.Parallel { domains = 4 }) cfg
-      in
+      let base = run_campaign ~sb:false cfg in
+      let seq = run_campaign ~sb:true cfg in
+      let par2 = run_campaign ~workers:2 ~sb:true cfg in
       let boots_eq p =
         Ferrite_trace.Telemetry.with_boots base.Campaign.telemetry
           p.Campaign.reboots
@@ -347,14 +343,11 @@ let prop_superblocks_invisible =
       && base.Campaign.telemetry = seq.Campaign.telemetry
       && base.Campaign.traces = seq.Campaign.traces
       && store_bytes base = store_bytes seq
-      (* parallel runs may differ in tl_boots (one boot per worker) but in
+      (* a fabric run may differ in tl_boots (one boot per worker) but in
          nothing else *)
       && base.Campaign.records = par2.Campaign.records
       && base.Campaign.traces = par2.Campaign.traces
       && boots_eq par2
-      && base.Campaign.records = par4.Campaign.records
-      && base.Campaign.traces = par4.Campaign.traces
-      && boots_eq par4
       && store_bytes seq = store_bytes par2)
 
 let test_sb_stats_reflect_mode () =
@@ -365,12 +358,12 @@ let test_sb_stats_reflect_mode () =
       engine = { Engine.default_config with Engine.step_budget = 100_000 };
     }
   in
-  let off = run_campaign ~sb:false ~executor:Executor.Sequential cfg in
+  let off = run_campaign ~sb:false cfg in
   check_int "no blocks built with superblocks off" 0
     off.Campaign.cache.Cache_stats.cs_sb_blocks;
   check_int "no translated instructions with superblocks off" 0
     off.Campaign.cache.Cache_stats.cs_sb_insns;
-  let on = run_campaign ~sb:true ~executor:Executor.Sequential cfg in
+  let on = run_campaign ~sb:true cfg in
   check_bool "translated run retires instructions in blocks" true
     (on.Campaign.cache.Cache_stats.cs_sb_insns > 0);
   check_bool "pre-warm installed entries" true

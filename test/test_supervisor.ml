@@ -238,35 +238,43 @@ let check_resume_equal label (reference : Campaign.result) (r : Campaign.result)
   check_bool (label ^ ": telemetry") true
     (boots_blind r.Campaign.telemetry = boots_blind reference.Campaign.telemetry)
 
+(* Journal [cfg] under [supervision] in a forked child and SIGKILL it once a
+   few frames have landed: what is left at [path] is a killed run's journal. *)
+let journal_then_kill ~supervision cfg path =
+  match Unix.fork () with
+  | 0 ->
+    (try ignore (Campaign.run ~supervision cfg) with _ -> ());
+    Unix._exit 0
+  | pid ->
+    let deadline = Unix.gettimeofday () +. 60.0 in
+    let rec poll () =
+      let sz = try file_size path with Sys_error _ -> 0 in
+      if sz <= Journal.header_size + 64 && Unix.gettimeofday () < deadline then begin
+        Unix.sleepf 0.01;
+        poll ()
+      end
+    in
+    poll ();
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid)
+
+let copy_file src dst =
+  let ic = open_in_bin src in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin dst in
+  output_string oc data;
+  close_out oc
+
 (* The golden resilience test: journal a run under --jobs 1, SIGKILL it
-   mid-campaign, then resume under jobs 1, 2 and 4 — every resume must equal
-   the uninterrupted run bit for bit. *)
+   mid-campaign, then resume on one worker and on 2- and 3-worker fabrics —
+   every resume must equal the uninterrupted run bit for bit. *)
 let test_kill_and_resume () =
   let cfg = small_cfg 40 in
   let reference = Campaign.run cfg in
   with_temp (fun path ->
       Sys.remove path;
-      (match Unix.fork () with
-      | 0 ->
-        (* child: journal the campaign; the parent kills us mid-run *)
-        (try
-           ignore
-             (Campaign.run ~supervision:(supervision_with ~journal:path ()) cfg)
-         with _ -> ());
-        Unix._exit 0
-      | pid ->
-        (* wait for a few journalled frames, then kill without warning *)
-        let deadline = Unix.gettimeofday () +. 60.0 in
-        let rec poll () =
-          let sz = try file_size path with Sys_error _ -> 0 in
-          if sz <= Journal.header_size + 64 && Unix.gettimeofday () < deadline then begin
-            Unix.sleepf 0.01;
-            poll ()
-          end
-        in
-        poll ();
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid));
+      journal_then_kill ~supervision:(supervision_with ~journal:path ()) cfg path;
       let recovered =
         (Journal.recover ~path
            ~plan_hash:
@@ -278,14 +286,53 @@ let test_kill_and_resume () =
       in
       check_bool "the kill landed mid-run" true (List.length recovered < 40);
       List.iter
-        (fun jobs ->
-          let r =
-            Campaign.run
-              ~supervision:(supervision_with ~journal:path ~resume:true ())
-              ~executor:(Executor.of_jobs jobs) cfg
-          in
-          check_resume_equal (Printf.sprintf "jobs %d" jobs) reference r)
-        [ 1; 2; 4 ])
+        (fun workers ->
+          with_temp (fun copy ->
+              copy_file path copy;
+              let r, _ =
+                Ferrite_fabric.Fabric.run ~workers
+                  ~supervision:(supervision_with ~journal:copy ~resume:true ())
+                  cfg
+              in
+              check_resume_equal (Printf.sprintf "%d worker(s)" workers) reference r))
+        [ 1; 2; 3 ])
+
+(* The supervision line ("R retried, Q quarantined, S resumed", plus the
+   torn-tail bytes) must not depend on the worker count: on the CI chaos
+   drill plan, a fresh run and a resume of a killed run report the same
+   counts on one worker and on a 2-worker fabric. *)
+let test_supervision_counts_jobs_invariant () =
+  let cfg = small_cfg 24 in
+  let chaos = Supervisor.drill_plan ~seed:cfg.Campaign.seed ~injections:24 in
+  let counts label (r : Campaign.result) =
+    match r.Campaign.supervision with
+    | None -> Alcotest.failf "%s: no supervision report" label
+    | Some sup ->
+      ( sup.Supervisor.sup_retries,
+        sup.Supervisor.sup_quarantined,
+        sup.Supervisor.sup_resume_skips,
+        sup.Supervisor.sup_journal_entries,
+        sup.Supervisor.sup_journal_truncated )
+  in
+  let run ~workers supervision =
+    counts (Printf.sprintf "%d worker(s)" workers)
+      (fst (Ferrite_fabric.Fabric.run ~workers ~supervision cfg))
+  in
+  let fresh = supervision_with ~chaos () in
+  let ((retries, quarantined, _, _, _) as j1) = run ~workers:1 fresh in
+  check_bool "the drill retries and quarantines" true (retries > 0 && quarantined <> []);
+  check_bool "fresh run: same counts at -j 1 and -j 2" true (j1 = run ~workers:2 fresh);
+  with_temp (fun path ->
+      Sys.remove path;
+      journal_then_kill ~supervision:(supervision_with ~chaos ~journal:path ()) cfg path;
+      let resume workers =
+        with_temp (fun copy ->
+            copy_file path copy;
+            run ~workers (supervision_with ~chaos ~journal:copy ~resume:true ()))
+      in
+      let ((_, _, skips, entries, _) as r1) = resume 1 in
+      check_bool "the resume served journalled trials" true (skips > 0 && skips = entries);
+      check_bool "resumed run: same counts at -j 1 and -j 2" true (r1 = resume 2))
 
 let test_resume_rejects_other_plan () =
   let cfg = small_cfg 10 in
@@ -340,6 +387,8 @@ let () =
       ( "resume",
         [
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
+          Alcotest.test_case "supervision counts jobs-invariant" `Quick
+            test_supervision_counts_jobs_invariant;
           Alcotest.test_case "other plan rejected" `Quick test_resume_rejects_other_plan;
           Alcotest.test_case "fingerprint jobs-independent" `Quick
             test_fingerprint_is_jobs_independent;

@@ -1,12 +1,11 @@
 (* Tests for the trace library: ring-buffer flight-recorder semantics,
    telemetry counting/merging, JSONL export, the golden scenario timelines
-   (byte-exact against committed files) and executor independence of traces
-   and telemetry. *)
+   (byte-exact against committed files) and worker-count independence of
+   traces and telemetry. *)
 
 open Ferrite_trace
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
-module Executor = Ferrite_injection.Executor
 module Target = Ferrite_injection.Target
 
 let check_int = Alcotest.(check int)
@@ -136,26 +135,16 @@ let check_golden name rendered =
   else check_string (name ^ " timeline is byte-identical to the golden file") (read_file path)
          rendered
 
-let scenario_render ?executor name =
+let scenario_render name =
   match Ferrite.Scenario.find name with
   | None -> Alcotest.failf "unknown scenario %s" name
-  | Some sc -> Ferrite.Scenario.render (Ferrite.Scenario.run ?executor sc)
+  | Some sc -> Ferrite.Scenario.render (Ferrite.Scenario.run sc)
 
 let test_golden_fig7 () = check_golden "fig7" (scenario_render "fig7")
 let test_golden_fig13 () = check_golden "fig13" (scenario_render "fig13")
 let test_golden_fig14 () = check_golden "fig14" (scenario_render "fig14")
 
-let test_scenarios_executor_independent () =
-  List.iter
-    (fun sc ->
-      let name = sc.Ferrite.Scenario.sc_name in
-      check_string
-        (name ^ " identical under sequential and parallel executors")
-        (scenario_render ~executor:Executor.Sequential name)
-        (scenario_render ~executor:(Executor.Parallel { domains = 4 }) name))
-    Ferrite.Scenario.all
-
-(* ---------- campaign traces across executors ---------- *)
+(* ---------- campaign traces across worker counts ---------- *)
 
 let test_campaign_traces_executor_independent () =
   let cfg =
@@ -165,8 +154,8 @@ let test_campaign_traces_executor_independent () =
     }
   in
   let tracer = { Tracer.trace_capacity = 256 } in
-  let seq = Campaign.run ~executor:Executor.Sequential ~tracer cfg in
-  let par = Campaign.run ~executor:(Executor.Parallel { domains = 4 }) ~tracer cfg in
+  let seq = Campaign.run ~tracer cfg in
+  let par, _ = Ferrite_fabric.Fabric.run ~workers:3 ~tracer cfg in
   check_string "rendered trials identical"
     (Printer.render_trials seq.Campaign.traces)
     (Printer.render_trials par.Campaign.traces);
@@ -210,7 +199,6 @@ let () =
           Alcotest.test_case "fig7" `Quick test_golden_fig7;
           Alcotest.test_case "fig13" `Quick test_golden_fig13;
           Alcotest.test_case "fig14" `Quick test_golden_fig14;
-          Alcotest.test_case "executor independent" `Quick test_scenarios_executor_independent;
         ] );
       ( "campaign",
         [
