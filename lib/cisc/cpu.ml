@@ -72,6 +72,8 @@ type t = {
   mutable dc_hits : int;
   mutable dc_misses : int;
   mutable dc_streak : int;  (* consecutive misses; long streaks bypass insert *)
+  mutable dc_memo_hits : int;  (* memo probes that reused a decode *)
+  mutable dc_revalidated : int;  (* hits revalidated by byte compare *)
   wm_memo : dentry array;  (* content-keyed decode memos, by first byte *)
   mutable last_cost : int;  (* cycle cost of the insn decode_at just returned *)
   sbcache : sblock array;
@@ -198,6 +200,8 @@ let create ~mem ~stop_addr =
     dc_hits = 0;
     dc_misses = 0;
     dc_streak = 0;
+    dc_memo_hits = 0;
+    dc_revalidated = 0;
     wm_memo = Array.init 256 (fun _ -> fresh_dentry ());
     last_cost = 0;
     sbcache = Array.init sbcache_size (fun _ -> fresh_sblock ());
@@ -925,6 +929,7 @@ let decode_at t pc =
          function of the fetched bytes, so the cached decode is still
          exact; refresh the generations and reuse it. *)
       t.dc_hits <- t.dc_hits + 1;
+      t.dc_revalidated <- t.dc_revalidated + 1;
       if e.d_warm then t.dc_warm_hits <- t.dc_warm_hits + 1;
       t.dc_streak <- 0;
       t.last_cost <- e.d_cost;
@@ -949,6 +954,7 @@ let decode_at t pc =
            && matches (k + 1)
       in
       if len > 0 && matches 1 then begin
+        t.dc_memo_hits <- t.dc_memo_hits + 1;
         t.last_cost <- wm.d_cost;
         wm.d_dec
       end
@@ -1016,6 +1022,7 @@ let decode_at t pc =
   end
 
 let decode_cache_stats t = (t.dc_hits, t.dc_misses)
+let decode_service_stats t = (t.dc_memo_hits, t.dc_revalidated)
 
 let deliver_fault t pc e =
   t.eip <- pc;
@@ -1549,3 +1556,24 @@ let restore t s =
   t.pending_hit <- s.s_pending_hit;
   t.stopped <- s.s_stopped;
   t.last_store_addr <- s.s_last_store_addr
+
+(* --- cycle confirmation ------------------------------------------------ *)
+
+(* The cheap per-tick hint is eip, eflags and the eight general registers;
+   a match only nominates a candidate, [same_state] decides. *)
+let hint_size = 10
+
+let save_hint t h =
+  h.(0) <- t.eip;
+  h.(1) <- t.eflags;
+  Array.blit t.regs 0 h 2 8
+
+let hint_matches t h =
+  h.(0) = t.eip
+  && h.(1) = t.eflags
+  &&
+  let rec go i = i >= 8 || (h.(i + 2) = Array.unsafe_get t.regs i && go (i + 1)) in
+  go 0
+
+let same_state a b =
+  { a with s_cycles = 0; s_instructions = 0 } = { b with s_cycles = 0; s_instructions = 0 }

@@ -55,6 +55,8 @@ type t = {
   mutable dc_misses : int;
   mutable dc_streak : int;
       (** consecutive decode-cache misses; long streaks bypass insertion *)
+  mutable dc_memo_hits : int;  (** wild-march memo probes that reused a decode *)
+  mutable dc_revalidated : int;  (** cache hits revalidated by byte compare *)
   wm_memo : dentry array;
       (** content-keyed decode memos (by first opcode byte) for bypass streaks *)
   mutable last_cost : int;
@@ -75,6 +77,12 @@ type t = {
 val decode_cache_stats : t -> int * int
 (** [(hits, misses)] of the decode cache — monotonic diagnostics, excluded
     from {!snapshot}/{!restore}. *)
+
+val decode_service_stats : t -> int * int
+(** [(memo_hits, revalidated)]: wild-march memo probes that reused a decode
+    (counted among the misses, which are slow-path entries) and cache hits
+    whose stale generation was revalidated by byte compare (counted among
+    the hits). *)
 
 (** Register indices. *)
 
@@ -183,3 +191,21 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** [restore t s] rolls every mutable field back to the captured values; used
     with a post-boot snapshot it is a cheap logical reboot. *)
+
+(** {2 Cycle confirmation}
+
+    Support for the engine's exact cutting of closed livelocks. *)
+
+val hint_size : int
+
+val save_hint : t -> int array -> unit
+(** [save_hint t h] stores eip, eflags and the general registers into [h]
+    (of length {!hint_size}). *)
+
+val hint_matches : t -> int array -> bool
+(** Whether the live eip, eflags and general registers equal a saved hint. *)
+
+val same_state : snapshot -> snapshot -> bool
+(** Whether two snapshots agree on everything but the cycle and instruction
+    counters: registers, system and debug registers, pending watchpoint hit,
+    poison and stop flags. *)

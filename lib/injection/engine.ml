@@ -61,6 +61,38 @@ type state = {
   mutable injected : bool;  (* register targets: has the flip happened yet *)
 }
 
+(* Exact cycle cutting (DESIGN.md §15). A capture is the full state at one
+   tick boundary; a later boundary in exactly that state proves the run
+   closed: it repeats the stretch between them until the watchdog fires. *)
+type capture = {
+  c_steps : int;
+  c_epoch : int;
+  c_hint : int array;
+  c_machine : System.machine_state;
+  c_model : Fault_model.state;
+  c_engine : int option * bool * bool;  (* activation, injected, skip_ibp *)
+  c_progress : int;
+  c_cycles : int;
+  c_instructions : int;
+  c_mark : Ferrite_trace.Tracer.mark option;
+}
+
+(* Brent's cycle search over the per-tick hint: the anchor moves whenever
+   its distance reaches [power] steps, and [power] doubles each move (it
+   restarts at one tick when the runner makes progress — a closed run makes
+   none). Each anchor epoch opens at most one capture, on the first hint
+   match; a capture lives for the rest of its epoch and the next. *)
+type cut = {
+  anchor : int array;
+  mutable anchor_steps : int;
+  mutable anchor_progress : int;
+  mutable power : int;
+  mutable epoch : int;
+  mutable captured : bool;  (* this epoch has opened its capture *)
+  mutable cap : capture option;
+  mutable finished : bool;  (* cut done, or no whole period left to skip *)
+}
+
 let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0L)
     ?(on_dump = fun (_ : Crash_dump.t) -> ()) ~sys ~runner ~target ~collector config =
   let config = validated config in
@@ -289,6 +321,108 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
   in
   let tick_mask = config.tick_interval - 1 in
   let use_sb = System.superblocks_on sys in
+  let cut =
+    if System.cycle_cuts_on sys && not (Fault_model.needs_tick model (Target.kind_of target))
+    then
+      Some
+        { anchor = System.hint_create sys; anchor_steps = 0; anchor_progress = -1; power = 0;
+          epoch = 0; captured = false; cap = None; finished = false }
+    else None
+  in
+  (* Skip whole periods of a confirmed cycle: the machine is back in the
+     captured state, so every later period repeats the confirming one —
+     same steps, instructions, cycles and events. The final partial period
+     runs precisely, and so do enough whole periods to refill a retaining
+     trace ring, so the watchdog fires at the same step with the same stamp,
+     telemetry and ring. Returns the step count to resume from. *)
+  let skip_periods (k : capture) steps =
+    let period = steps - k.c_steps in
+    let whole = (config.step_budget - steps) / period in
+    let refill =
+      match (tracer, k.c_mark) with
+      | Some tr, Some m ->
+        let per = Ferrite_trace.Tracer.events_since tr m in
+        let cap = Ferrite_trace.Tracer.capacity tr in
+        if cap > 0 && per > 0 then (cap + per - 1) / per else 0
+      | _ -> 0
+    in
+    let times = whole - refill in
+    if times <= 0 then steps
+    else begin
+      let d_insns = counters.Counters.instructions - k.c_instructions in
+      counters.Counters.cycles <-
+        counters.Counters.cycles + (times * (counters.Counters.cycles - k.c_cycles));
+      counters.Counters.instructions <- counters.Counters.instructions + (times * d_insns);
+      (match (tracer, k.c_mark) with
+      | Some tr, Some since -> Ferrite_trace.Tracer.repeat tr ~since ~times
+      | _ -> ());
+      Memory.note_cycle_cut sys.System.mem ~insns:(times * d_insns);
+      steps + (times * period)
+    end
+  in
+  (* Called at every tick boundary after the runner reported [Running];
+     returns the step count to continue from (advanced past skipped
+     periods, or unchanged). *)
+  let cut_tick c steps skip_ibp =
+    let progress = Runner.progress runner in
+    let confirmed =
+      match c.cap with
+      | Some k when steps > k.c_steps ->
+        if progress <> k.c_progress || System.machine_state_stale sys k.c_machine then begin
+          c.cap <- None;
+          None
+        end
+        else if
+          System.hint_matches sys k.c_hint
+          && (st.activation, st.injected, skip_ibp) = k.c_engine
+          && Fault_model.same_state fm k.c_model
+          && System.same_machine_state sys k.c_machine
+        then Some k
+        else None
+      | _ -> None
+    in
+    match confirmed with
+    | Some k ->
+      c.finished <- true;
+      skip_periods k steps
+    | None ->
+      if progress <> c.anchor_progress || steps - c.anchor_steps >= c.power then begin
+        System.save_hint sys c.anchor;
+        c.power <-
+          (if progress <> c.anchor_progress then config.tick_interval else 2 * c.power);
+        c.anchor_steps <- steps;
+        c.anchor_progress <- progress;
+        c.epoch <- c.epoch + 1;
+        c.captured <- false;
+        match c.cap with Some k when k.c_epoch + 1 < c.epoch -> c.cap <- None | _ -> ()
+      end
+      else if (not c.captured) && c.cap = None && System.hint_matches sys c.anchor then begin
+        c.captured <- true;
+        c.cap <-
+          Some
+            {
+              c_steps = steps;
+              c_epoch = c.epoch;
+              c_hint = Array.copy c.anchor;
+              c_machine = System.machine_state sys;
+              c_model = Fault_model.state fm;
+              c_engine = (st.activation, st.injected, skip_ibp);
+              c_progress = progress;
+              c_cycles = counters.Counters.cycles;
+              c_instructions = counters.Counters.instructions;
+              c_mark = Option.map Ferrite_trace.Tracer.mark tracer;
+            }
+      end;
+      steps
+  in
+  let cut_at steps skip_ibp =
+    match cut with
+    | Some c when not c.finished -> (
+      match target with
+      | Target.Reg_target _ when not st.injected -> steps
+      | _ -> cut_tick c steps skip_ibp)
+    | _ -> steps
+  in
   let rec loop steps skip_ibp =
     if steps >= config.step_budget then begin
       (* Watchdog expiry: the run is hung regardless of activation. If the
@@ -302,7 +436,11 @@ let run_one ?tracer ?(model = Fault_model.Single_bit_transient) ?(fault_seed = 0
     else begin
       if steps land tick_mask = 0 then begin
         fm_tick ();
-        if Runner.tick runner = Runner.Done then workload_done () else step_once steps skip_ibp
+        if Runner.tick runner = Runner.Done then workload_done ()
+        else begin
+          let resume = cut_at steps skip_ibp in
+          if resume = steps then step_once steps skip_ibp else loop resume skip_ibp
+        end
       end
       else step_once steps skip_ibp
     end

@@ -138,6 +138,12 @@ let instantiate model ~fault_seed =
 
 let model_of inst = inst.i_model
 
+type state = instance
+
+let state inst = { inst with i_rng = Rng.copy inst.i_rng }
+
+let same_state inst s = state inst = s
+
 type ops = {
   o_flip : int -> int -> unit;
   o_get : int -> int -> int;

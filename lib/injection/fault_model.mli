@@ -83,6 +83,15 @@ type instance
 val instantiate : t -> fault_seed:int64 -> instance
 val model_of : instance -> t
 
+type state
+(** A copy of an instance's mutable state (fault stream position, applied
+    corruptions, presence and tick count). *)
+
+val state : instance -> state
+
+val same_state : instance -> state -> bool
+(** Whether the instance is still in the captured state. *)
+
 (** Mechanics the engine lends the model: bit access over the target
     (arch-aware word addressing for memory, register read-modify-write for
     registers), page swapping, and the trace emitter. Addresses passed to

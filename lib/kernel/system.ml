@@ -67,6 +67,8 @@ let run t ~max_steps =
       | Ferrite_risc.Cpu.Stopped -> Stopped
       | Ferrite_risc.Cpu.Faulted e -> Faulted (Risc_fault e) )
 
+let cycle_cuts_on t = Memory.cycle_cuts t.mem
+
 let superblocks_on t =
   match t.cpu with
   | Ccpu c -> c.Ferrite_cisc.Cpu.sb_enabled
@@ -180,15 +182,19 @@ let idle_cycles t n = Counters.idle (counters t) n
 
 let cache_stats t =
   let mem = Memory.cache_stats t.mem in
-  let (hits, misses), (warm_hits, prewarmed), (sb_hits, sb_blocks, sb_insns, sb_fallbacks)
-      =
+  let ( (hits, misses),
+        (memo_hits, revalidated),
+        (warm_hits, prewarmed),
+        (sb_hits, sb_blocks, sb_insns, sb_fallbacks) ) =
     match t.cpu with
     | Ccpu c ->
       ( Ferrite_cisc.Cpu.decode_cache_stats c,
+        Ferrite_cisc.Cpu.decode_service_stats c,
         Ferrite_cisc.Cpu.decode_warm_stats c,
         Ferrite_cisc.Cpu.superblock_stats c )
     | Rcpu r ->
       ( Ferrite_risc.Cpu.decode_cache_stats r,
+        Ferrite_risc.Cpu.decode_service_stats r,
         Ferrite_risc.Cpu.decode_warm_stats r,
         Ferrite_risc.Cpu.superblock_stats r )
   in
@@ -202,6 +208,8 @@ let cache_stats t =
     cs_sb_blocks = sb_blocks;
     cs_sb_insns = sb_insns;
     cs_sb_fallbacks = sb_fallbacks;
+    cs_decode_memo_hits = memo_hits;
+    cs_decode_revalidated = revalidated;
   }
 
 (* --- snapshot/restore ------------------------------------------------- *)
@@ -212,13 +220,12 @@ type cpu_snapshot =
 
 type snapshot = { sn_mem : Memory.snapshot; sn_cpu : cpu_snapshot }
 
-let snapshot t =
-  let sn_cpu =
-    match t.cpu with
-    | Ccpu c -> Csnap (Ferrite_cisc.Cpu.snapshot c)
-    | Rcpu r -> Rsnap (Ferrite_risc.Cpu.snapshot r)
-  in
-  { sn_mem = Memory.snapshot t.mem; sn_cpu }
+let cpu_snapshot t =
+  match t.cpu with
+  | Ccpu c -> Csnap (Ferrite_cisc.Cpu.snapshot c)
+  | Rcpu r -> Rsnap (Ferrite_risc.Cpu.snapshot r)
+
+let snapshot t = { sn_mem = Memory.snapshot t.mem; sn_cpu = cpu_snapshot t }
 
 let restore t s =
   (match t.cpu, s.sn_cpu with
@@ -226,3 +233,35 @@ let restore t s =
   | Rcpu r, Rsnap sr -> Ferrite_risc.Cpu.restore r sr
   | _ -> invalid_arg "System.restore: snapshot from the other architecture");
   Memory.restore t.mem s.sn_mem
+
+(* --- cycle confirmation ------------------------------------------------ *)
+
+let hint_create t =
+  Array.make
+    (match t.cpu with
+    | Ccpu _ -> Ferrite_cisc.Cpu.hint_size
+    | Rcpu _ -> Ferrite_risc.Cpu.hint_size)
+    0
+
+let save_hint t h =
+  match t.cpu with
+  | Ccpu c -> Ferrite_cisc.Cpu.save_hint c h
+  | Rcpu r -> Ferrite_risc.Cpu.save_hint r h
+
+let hint_matches t h =
+  match t.cpu with
+  | Ccpu c -> Ferrite_cisc.Cpu.hint_matches c h
+  | Rcpu r -> Ferrite_risc.Cpu.hint_matches r h
+
+type machine_state = { ms_cpu : cpu_snapshot; ms_mem : Memory.dirty_image }
+
+let machine_state t = { ms_cpu = cpu_snapshot t; ms_mem = Memory.dirty_image t.mem }
+
+let machine_state_stale t m = Memory.dirty_grown t.mem m.ms_mem
+
+let same_machine_state t m =
+  (match (cpu_snapshot t, m.ms_cpu) with
+  | Csnap a, Csnap b -> Ferrite_cisc.Cpu.same_state a b
+  | Rsnap a, Rsnap b -> Ferrite_risc.Cpu.same_state a b
+  | _ -> false)
+  && Memory.same_dirty_image t.mem m.ms_mem

@@ -39,6 +39,10 @@ val run : t -> max_steps:int -> int * step_result
     it) but is excluded from [n]; for [Faulted] the exception has been
     delivered. Observable behaviour is bit-identical to a {!step} loop. *)
 
+val cycle_cuts_on : t -> bool
+(** Whether the engine may cut confirmed closed livelocks on this machine
+    (set at creation from {!Ferrite_machine.Memory.cycle_cuts}). *)
+
 val superblocks_on : t -> bool
 (** Whether this CPU executes through superblocks (set at creation from
     {!Ferrite_machine.Memory.superblocks}; can be overridden per CPU). *)
@@ -112,3 +116,33 @@ val restore : t -> snapshot -> unit
 (** Roll the machine back to a captured state — a logical reboot at a small
     fraction of the cost of re-running boot. Raises [Invalid_argument] if the
     snapshot came from a system of the other architecture. *)
+
+(** {2 Cycle confirmation}
+
+    What the engine needs to prove that a hung trial is a closed livelock:
+    a cheap per-tick hint that nominates candidates, and the full machine
+    state that confirms them. *)
+
+val hint_create : t -> int array
+(** A hint buffer sized for this machine's architecture. *)
+
+val save_hint : t -> int array -> unit
+(** Store the live pc and general registers (P4: eip, eflags and the eight
+    GPRs; G4: pc, the 32 GPRs, lr, ctr, cr). *)
+
+val hint_matches : t -> int array -> bool
+
+type machine_state
+(** The CPU snapshot and the {!Ferrite_machine.Memory.dirty_image} of the
+    current trial. *)
+
+val machine_state : t -> machine_state
+
+val machine_state_stale : t -> machine_state -> bool
+(** Whether a page joined the dirty set since the state was taken, so that
+    it can never match again before the next restore. *)
+
+val same_machine_state : t -> machine_state -> bool
+(** Whether the machine is exactly in the captured state, counters aside:
+    every CPU register, flag and armed debug register, and every page
+    touched since the last restore. *)

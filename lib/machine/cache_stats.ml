@@ -12,6 +12,10 @@ type t = {
   cs_sb_blocks : int;
   cs_sb_insns : int;
   cs_sb_fallbacks : int;
+  cs_decode_memo_hits : int;
+  cs_decode_revalidated : int;
+  cs_cycle_cuts : int;
+  cs_skipped_insns : int;
 }
 
 let zero =
@@ -29,6 +33,10 @@ let zero =
     cs_sb_blocks = 0;
     cs_sb_insns = 0;
     cs_sb_fallbacks = 0;
+    cs_decode_memo_hits = 0;
+    cs_decode_revalidated = 0;
+    cs_cycle_cuts = 0;
+    cs_skipped_insns = 0;
   }
 
 (* Counters are non-negative and only ever added, so the single overflow
@@ -55,6 +63,10 @@ let merge a b =
     cs_sb_blocks = sat_add a.cs_sb_blocks b.cs_sb_blocks;
     cs_sb_insns = sat_add a.cs_sb_insns b.cs_sb_insns;
     cs_sb_fallbacks = sat_add a.cs_sb_fallbacks b.cs_sb_fallbacks;
+    cs_decode_memo_hits = sat_add a.cs_decode_memo_hits b.cs_decode_memo_hits;
+    cs_decode_revalidated = sat_add a.cs_decode_revalidated b.cs_decode_revalidated;
+    cs_cycle_cuts = sat_add a.cs_cycle_cuts b.cs_cycle_cuts;
+    cs_skipped_insns = sat_add a.cs_skipped_insns b.cs_skipped_insns;
   }
 
 (* Per-interval view of two monotonic readings. The counters live on the
@@ -79,6 +91,10 @@ let delta ~before ~after =
     cs_sb_blocks = d after.cs_sb_blocks before.cs_sb_blocks;
     cs_sb_insns = d after.cs_sb_insns before.cs_sb_insns;
     cs_sb_fallbacks = d after.cs_sb_fallbacks before.cs_sb_fallbacks;
+    cs_decode_memo_hits = d after.cs_decode_memo_hits before.cs_decode_memo_hits;
+    cs_decode_revalidated = d after.cs_decode_revalidated before.cs_decode_revalidated;
+    cs_cycle_cuts = d after.cs_cycle_cuts before.cs_cycle_cuts;
+    cs_skipped_insns = d after.cs_skipped_insns before.cs_skipped_insns;
   }
 
 let fields t =
@@ -96,6 +112,10 @@ let fields t =
     ("sb_blocks", t.cs_sb_blocks);
     ("sb_insns_retired", t.cs_sb_insns);
     ("sb_fallbacks", t.cs_sb_fallbacks);
+    ("decode_memo_hits", t.cs_decode_memo_hits);
+    ("decode_revalidated", t.cs_decode_revalidated);
+    ("cycle_cuts", t.cs_cycle_cuts);
+    ("skipped_insns", t.cs_skipped_insns);
   ]
 
 let ratio hits misses =
@@ -103,7 +123,12 @@ let ratio hits misses =
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 let tlb_hit_rate t = ratio t.cs_tlb_hits t.cs_tlb_misses
-let decode_hit_rate t = ratio t.cs_decode_hits t.cs_decode_misses
+
+(* A step is served without a decode when the pc-keyed cache hits (fresh or
+   revalidated, both in [cs_decode_hits]) or the wild-march memo matches;
+   memo probes sit inside [cs_decode_misses], the slow-path total. *)
+let decode_hit_rate t =
+  ratio (t.cs_decode_hits + t.cs_decode_memo_hits) (t.cs_decode_misses - t.cs_decode_memo_hits)
 
 (* A superblock lookup either enters a cached block (hit) or builds one;
    block builds are the miss events of this cache. *)
@@ -131,15 +156,17 @@ let to_json t =
 
 let render ppf t =
   Format.fprintf ppf
-    "tlb %d/%d (%.1f%%)  decode %d/%d (%.1f%%, %.1f%% warm)  sb %d blk / %d insn (%.1f%% hit, %d fb)  restores %d fast / %d full (%d pages)"
+    "tlb %d/%d (%.1f%%)  decode %d/%d (%.1f%%, %.1f%% warm, %d memo, %d reval)  sb %d blk / %d insn (%.1f%% hit, %d fb)  restores %d fast / %d full (%d pages)  cuts %d (%d insn skipped)"
     t.cs_tlb_hits
     (t.cs_tlb_hits + t.cs_tlb_misses)
     (100.0 *. tlb_hit_rate t)
-    t.cs_decode_hits
+    (t.cs_decode_hits + t.cs_decode_memo_hits)
     (t.cs_decode_hits + t.cs_decode_misses)
     (100.0 *. decode_hit_rate t)
     (100.0 *. decode_warm_rate t)
+    t.cs_decode_memo_hits t.cs_decode_revalidated
     t.cs_sb_blocks t.cs_sb_insns
     (100.0 *. sb_hit_rate t)
     t.cs_sb_fallbacks
     t.cs_restore_fast t.cs_restore_full t.cs_restore_pages
+    t.cs_cycle_cuts t.cs_skipped_insns

@@ -21,8 +21,9 @@ type t = {
   cs_restore_fast : int;  (** restores served from the dirty-page list *)
   cs_restore_full : int;  (** restores that walked the whole snapshot *)
   cs_restore_pages : int;  (** pages blitted or re-created across restores *)
-  cs_decode_hits : int;
+  cs_decode_hits : int;  (** pc-keyed decode-cache hits, revalidated ones included *)
   cs_decode_misses : int;
+      (** decode slow-path entries: full decodes plus wild-march memo probes *)
   cs_decode_warm_hits : int;
       (** decode-cache hits served by entries installed by the post-boot
           pre-warm pass (vs discovered cold during trials) *)
@@ -33,6 +34,13 @@ type t = {
   cs_sb_fallbacks : int;
       (** mid-block exits to the precise interpreter: taken branch,
           self-modifying store, armed breakpoint, exception, watchpoint hit *)
+  cs_decode_memo_hits : int;
+      (** memo probes that reused a decode (a sub-count of [cs_decode_misses]) *)
+  cs_decode_revalidated : int;
+      (** cache hits whose stale page generation was revalidated by byte
+          compare (a sub-count of [cs_decode_hits]) *)
+  cs_cycle_cuts : int;  (** trials whose confirmed closed livelock was cut *)
+  cs_skipped_insns : int;  (** instructions accounted by cuts without being run *)
 }
 
 val zero : t
@@ -54,6 +62,8 @@ val tlb_hit_rate : t -> float
 (** Hits / (hits + misses), 0.0 when no accesses. *)
 
 val decode_hit_rate : t -> float
+(** Steps served without a decode (cache hits, revalidations and memo hits)
+    over all decode-path entries. *)
 
 val decode_warm_rate : t -> float
 (** Fraction of decode hits served by pre-warmed entries. *)

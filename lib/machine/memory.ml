@@ -49,6 +49,12 @@ let sb_default = ref true
 
 let set_superblocks_default b = sb_default := b
 
+(* Exact cycle cutting of closed livelocks (the engine's watchdog tail) is
+   toggled the same way, so tests and gates can compare cutting on and off. *)
+let cut_default = ref true
+
+let set_cycle_cuts_default b = cut_default := b
+
 type t = {
   pages : (int, page) Hashtbl.t;
   (* Direct-mapped ("lowmem") window: pages in [lo, hi) materialise
@@ -59,6 +65,7 @@ type t = {
   mutable auto_perm : perm;
   fast : bool;  (* fast paths enabled (TLB, word accessors, dirty restore) *)
   sb : bool;  (* superblock translation enabled for CPUs on this memory *)
+  cuts : bool;  (* the engine may cut confirmed closed livelocks *)
   tlb_r_idx : int array;
   tlb_r_pg : page array;
   tlb_w_idx : int array;
@@ -66,12 +73,15 @@ type t = {
   tlb_x_idx : int array;
   tlb_x_pg : page array;
   mutable dirty_list : int list;  (* page indices touched since last restore *)
+  mutable dirty_len : int;  (* length of [dirty_list]; only grows between restores *)
   mutable last_restored : int;  (* snapshot id of the last restore, or -1 *)
   mutable stat_tlb_hits : int;
   mutable stat_tlb_misses : int;
   mutable stat_restore_fast : int;
   mutable stat_restore_full : int;
   mutable stat_restore_pages : int;
+  mutable stat_cycle_cuts : int;
+  mutable stat_skipped_insns : int;
 }
 
 let create () =
@@ -82,6 +92,7 @@ let create () =
     auto_perm = perm_rw;
     fast = !fast_default;
     sb = !sb_default;
+    cuts = !cut_default;
     tlb_r_idx = Array.make tlb_size (-1);
     tlb_r_pg = Array.make tlb_size null_page;
     tlb_w_idx = Array.make tlb_size (-1);
@@ -89,16 +100,20 @@ let create () =
     tlb_x_idx = Array.make tlb_size (-1);
     tlb_x_pg = Array.make tlb_size null_page;
     dirty_list = [];
+    dirty_len = 0;
     last_restored = -1;
     stat_tlb_hits = 0;
     stat_tlb_misses = 0;
     stat_restore_fast = 0;
     stat_restore_full = 0;
     stat_restore_pages = 0;
+    stat_cycle_cuts = 0;
+    stat_skipped_insns = 0;
   }
 
 let fast_paths t = t.fast
 let superblocks t = t.sb
+let cycle_cuts t = t.cuts
 
 let tlb_flush t =
   Array.fill t.tlb_r_idx 0 tlb_size (-1);
@@ -118,7 +133,8 @@ let[@inline] touch t idx page =
   page.wgen <- page.wgen + 1;
   if not page.dirty then begin
     page.dirty <- true;
-    t.dirty_list <- idx :: t.dirty_list
+    t.dirty_list <- idx :: t.dirty_list;
+    t.dirty_len <- t.dirty_len + 1
   end
 
 let map t ~addr ~size ~perm =
@@ -549,11 +565,64 @@ let restore t s =
   if t.fast && t.last_restored = s.s_id then restore_dirty t s
   else restore_full t s;
   t.dirty_list <- [];
+  t.dirty_len <- 0;
   t.last_restored <- s.s_id;
   t.auto_lo <- s.s_auto_lo;
   t.auto_hi <- s.s_auto_hi;
   t.auto_perm <- s.s_auto_perm;
   tlb_flush t
+
+(* --- dirty images: cycle confirmation --------------------------------- *)
+
+(* Pages off the dirty list are untouched since the last restore, so two
+   moments of one trial hold the same memory exactly when the dirty list has
+   not grown (it only grows between restores) and every listed page has the
+   same mapping, permissions and bytes. *)
+type dirty_image = {
+  di_len : int;
+  di_pages : (int * (Bytes.t * perm) option) array;  (* by page index *)
+  di_auto : int * int * perm;
+  mutable di_hot : int;  (* slot that differed last time: compared first *)
+}
+
+let dirty_image t =
+  let pages =
+    Array.of_list
+      (List.map
+         (fun idx ->
+           (idx, Option.map (fun p -> (Bytes.copy p.data, p.perm)) (Hashtbl.find_opt t.pages idx)))
+         (List.sort_uniq compare t.dirty_list))
+  in
+  { di_len = t.dirty_len; di_pages = pages; di_auto = (t.auto_lo, t.auto_hi, t.auto_perm);
+    di_hot = 0 }
+
+let dirty_grown t d = t.dirty_len <> d.di_len
+
+let same_dirty_image t d =
+  let same k =
+    let idx, saved = d.di_pages.(k) in
+    match (saved, Hashtbl.find_opt t.pages idx) with
+    | None, None -> true
+    | Some (data, perm), Some p -> p.perm = perm && Bytes.equal data p.data
+    | _ -> false
+  in
+  let n = Array.length d.di_pages in
+  let rec rest k =
+    if k >= n then true
+    else if k = d.di_hot || same k then rest (k + 1)
+    else begin
+      d.di_hot <- k;
+      false
+    end
+  in
+  (not (dirty_grown t d))
+  && (t.auto_lo, t.auto_hi, t.auto_perm) = d.di_auto
+  && (n = 0 || same d.di_hot)
+  && rest 0
+
+let note_cycle_cut t ~insns =
+  t.stat_cycle_cuts <- t.stat_cycle_cuts + 1;
+  t.stat_skipped_insns <- t.stat_skipped_insns + insns
 
 let cache_stats t =
   {
@@ -570,4 +639,8 @@ let cache_stats t =
     cs_sb_blocks = 0;
     cs_sb_insns = 0;
     cs_sb_fallbacks = 0;
+    cs_decode_memo_hits = 0;
+    cs_decode_revalidated = 0;
+    cs_cycle_cuts = t.stat_cycle_cuts;
+    cs_skipped_insns = t.stat_skipped_insns;
   }

@@ -62,6 +62,15 @@ val set_superblocks_default : bool -> unit
 val superblocks : t -> bool
 (** Whether this memory was created with superblock translation enabled. *)
 
+val set_cycle_cuts_default : bool -> unit
+(** Enable/disable exact cycle cutting of closed livelocks (see
+    [Engine.run_one]) for machines whose memory is created {e after} this
+    call ([true] initially). Cutting never changes a record, trace or
+    telemetry value; the toggle exists so tests and gates can prove that. *)
+
+val cycle_cuts : t -> bool
+(** Whether this memory was created with cycle cutting enabled. *)
+
 val map : t -> addr:int -> size:int -> perm:perm -> unit
 (** [map t ~addr ~size ~perm] maps (and zeroes) all pages overlapping
     [\[addr, addr+size)]. Remapping an existing page only updates its
@@ -152,6 +161,30 @@ val cache_stats : t -> Cache_stats.t
 (** Monotonic fast-path counters for this memory (TLB hits/misses, restore
     activity; decode fields are zero — the CPUs own those). Not part of
     snapshots. *)
+
+(** {2 Dirty images (cycle confirmation)} *)
+
+type dirty_image
+(** The set of pages touched since the last {!restore}, with a copy of each
+    one's mapping, permissions and bytes, plus the auto-map window. Pages
+    off that set are unchanged since the restore, so the image pins the
+    whole memory state of the current trial. *)
+
+val dirty_image : t -> dirty_image
+
+val dirty_grown : t -> dirty_image -> bool
+(** Whether a page has joined the dirty set since the image was taken (the
+    set only grows between restores, so the image can never match again). *)
+
+val same_dirty_image : t -> dirty_image -> bool
+(** Whether the memory holds exactly the imaged state: same dirty set, same
+    auto-map window, and every dirty page mapped alike with equal
+    permissions and bytes. A page that differed last time is compared first,
+    so a failed comparison usually costs one page. *)
+
+val note_cycle_cut : t -> insns:int -> unit
+(** Count one cut trial and the instructions it skipped in this memory's
+    diagnostics ({!Cache_stats.cs_cycle_cuts}/[cs_skipped_insns]). *)
 
 type snapshot
 (** An immutable copy of the full memory state (pages, permissions, and the

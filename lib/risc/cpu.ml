@@ -64,6 +64,7 @@ type t = {
   mutable dc_hits : int;
   mutable dc_misses : int;
   mutable dc_streak : int;  (* consecutive misses; long streaks bypass insert *)
+  mutable dc_revalidated : int;  (* hits revalidated by word compare *)
   mutable last_cost : int;  (* cycle cost of the insn decode_at just returned *)
   sbcache : sblock array;
   mutable sb_enabled : bool;
@@ -215,6 +216,7 @@ let create ~mem ~stop_addr =
     dc_hits = 0;
     dc_misses = 0;
     dc_streak = 0;
+    dc_revalidated = 0;
     last_cost = 0;
     sbcache = Array.init sbcache_size (fun _ -> fresh_sblock ());
     sb_enabled = Memory.superblocks mem;
@@ -368,6 +370,7 @@ let decode_at t pc =
           e.d_pg <- pg;
           e.d_wg <- Memory.page_generation pg);
         t.dc_hits <- t.dc_hits + 1;
+        t.dc_revalidated <- t.dc_revalidated + 1;
         if e.d_warm then t.dc_warm_hits <- t.dc_warm_hits + 1;
         t.dc_streak <- 0;
         t.last_cost <- e.d_cost;
@@ -401,6 +404,7 @@ let decode_at t pc =
   end
 
 let decode_cache_stats t = (t.dc_hits, t.dc_misses)
+let decode_service_stats t = (0, t.dc_revalidated)
 
 (* --- privileged state ---------------------------------------------------- *)
 
@@ -1166,3 +1170,28 @@ let restore t s =
   t.pending_hit <- s.s_pending_hit;
   t.stopped <- s.s_stopped;
   t.last_store_addr <- s.s_last_store_addr
+
+(* --- cycle confirmation ------------------------------------------------ *)
+
+(* The cheap per-tick hint is pc, the general registers, lr, ctr and cr; a
+   match only nominates a candidate, [same_state] decides. *)
+let hint_size = 36
+
+let save_hint t h =
+  h.(0) <- t.pc;
+  Array.blit t.gpr 0 h 1 32;
+  h.(33) <- t.lr;
+  h.(34) <- t.ctr;
+  h.(35) <- t.cr
+
+let hint_matches t h =
+  h.(0) = t.pc
+  && h.(33) = t.lr
+  && h.(34) = t.ctr
+  && h.(35) = t.cr
+  &&
+  let rec go i = i >= 32 || (h.(i + 1) = Array.unsafe_get t.gpr i && go (i + 1)) in
+  go 0
+
+let same_state a b =
+  { a with s_cycles = 0; s_instructions = 0 } = { b with s_cycles = 0; s_instructions = 0 }

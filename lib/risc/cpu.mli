@@ -48,6 +48,7 @@ type t = {
   mutable dc_misses : int;
   mutable dc_streak : int;
       (** consecutive decode-cache misses; long streaks bypass insertion *)
+  mutable dc_revalidated : int;  (** cache hits revalidated by word compare *)
   mutable last_cost : int;
       (** cycle cost of the instruction the last decode returned *)
   sbcache : sblock array;  (** PC-keyed superblock cache *)
@@ -66,6 +67,11 @@ type t = {
 val decode_cache_stats : t -> int * int
 (** [(hits, misses)] of the decode cache — monotonic diagnostics, excluded
     from {!snapshot}/{!restore}. *)
+
+val decode_service_stats : t -> int * int
+(** [(memo_hits, revalidated)]: always [0] memo hits (the fixed-width
+    decoder keeps no memo) and the cache hits whose stale generation was
+    revalidated by word compare (counted among the hits). *)
 
 (** MSR bit masks (standard PowerPC encodings). *)
 
@@ -149,3 +155,22 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** [restore t s] rolls every mutable field back to the captured values; used
     with a post-boot snapshot it is a cheap logical reboot. *)
+
+(** {2 Cycle confirmation}
+
+    Support for the engine's exact cutting of closed livelocks. *)
+
+val hint_size : int
+
+val save_hint : t -> int array -> unit
+(** [save_hint t h] stores pc, the general registers, lr, ctr and cr into
+    [h] (of length {!hint_size}). *)
+
+val hint_matches : t -> int array -> bool
+(** Whether the live pc, general registers, lr, ctr and cr equal a saved
+    hint. *)
+
+val same_state : snapshot -> snapshot -> bool
+(** Whether two snapshots agree on everything but the cycle and instruction
+    counters: registers, SPRs, segment and debug registers, pending
+    watchpoint hit, poison and stop flags. *)

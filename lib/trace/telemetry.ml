@@ -88,6 +88,13 @@ let to_json t =
   ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) (fields t))
   ^ "}"
 
+(* A counters-only tracer drops every event by design; saying so reads
+   better than [events_dropped == events], which looks like total loss. *)
 let render t =
   String.concat "\n"
-    (List.map (fun (k, v) -> Printf.sprintf "  %-18s %d" k v) (fields t))
+    (List.map
+       (fun (k, v) ->
+         if k = "events_dropped" && v > 0 && v = t.tl_events then
+           Printf.sprintf "  %-18s not retained" k
+         else Printf.sprintf "  %-18s %d" k v)
+       (fields t))

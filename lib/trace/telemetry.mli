@@ -51,4 +51,5 @@ val to_json : t -> string
 (** One-line JSON object. *)
 
 val render : t -> string
-(** Multi-line human-readable block. *)
+(** Multi-line human-readable block. When every event was dropped (a
+    counters-only tracer) the [events_dropped] line reads "not retained". *)

@@ -88,6 +88,31 @@ let record t stamp ev =
 
 let recorded t = t.total
 
+let capacity t = t.capacity
+
+(* A mark is a copy of the counters (the ring is shared and never read). *)
+type mark = t
+
+let mark t = { t with total = t.total }
+
+let events_since t (m : mark) = t.total - m.total
+
+let repeat t ~(since : mark) ~times =
+  let add cur old = cur + (times * (cur - old)) in
+  t.total <- add t.total since.total;
+  t.trials <- add t.trials since.trials;
+  t.activations <- add t.activations since.activations;
+  t.flips <- add t.flips since.flips;
+  t.reinjections <- add t.reinjections since.reinjections;
+  t.strays <- add t.strays since.strays;
+  t.watchdogs <- add t.watchdogs since.watchdogs;
+  t.exceptions <- add t.exceptions since.exceptions;
+  t.dumps_sent <- add t.dumps_sent since.dumps_sent;
+  t.dumps_lost <- add t.dumps_lost since.dumps_lost;
+  t.retransmits <- add t.retransmits since.retransmits;
+  t.retries <- add t.retries since.retries;
+  t.quarantines <- add t.quarantines since.quarantines
+
 let dropped t = if t.capacity = 0 then t.total else max 0 (t.total - t.capacity)
 
 let events t =

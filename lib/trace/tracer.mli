@@ -31,6 +31,28 @@ val recorded : t -> int
 
 val dropped : t -> int
 
+val capacity : t -> int
+(** The configured [trace_capacity]. *)
+
+(** {2 Bulk accounting}
+
+    For a run that skips repetitions of an exactly periodic stretch: the
+    counters advance as if each skipped repetition had been recorded, while
+    the ring keeps its contents (the caller replays enough repetitions
+    precisely to overwrite it). *)
+
+type mark
+(** The counters at one moment. *)
+
+val mark : t -> mark
+
+val events_since : t -> mark -> int
+(** Events recorded since the mark. *)
+
+val repeat : t -> since:mark -> times:int -> unit
+(** [repeat t ~since ~times] adds [times] copies of the counter deltas since
+    [since] — every telemetry counter and the event total. *)
+
 val events : t -> (Event.stamp * Event.t) list
 (** Retained events, oldest first. *)
 

@@ -10,6 +10,7 @@ type t = {
   inflight : pending option array;
   mutable fsv : bool;
   mutable completed : int;
+  mutable issued : int;
   total : int;
   slot_of : int -> int;
   off_status : int;
@@ -38,6 +39,7 @@ let create sys ~ops =
     inflight = Array.make Abi.nworkers None;
     fsv = false;
     completed = 0;
+    issued = 0;
     total = List.length ops;
     slot_of = (fun w -> base + (w * sl.KLayout.sl_size));
     off_status = off "status";
@@ -74,6 +76,7 @@ let tick t =
     | None, op :: rest ->
       t.queues.(w) <- rest;
       issue t w op;
+      t.issued <- t.issued + 1;
       t.inflight.(w) <- Some { p_op = op }
     | _ -> ()
   done;
@@ -81,4 +84,5 @@ let tick t =
 
 let fsv t = t.fsv
 let completed_ops t = t.completed
+let progress t = t.issued + t.completed
 let total_ops t = t.total

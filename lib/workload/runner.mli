@@ -19,4 +19,9 @@ val fsv : t -> bool
 (** True if any completed operation failed its golden-model check. *)
 
 val completed_ops : t -> int
+
+val progress : t -> int
+(** Requests issued plus requests completed. A {!tick} that leaves it
+    unchanged changed nothing: the runner only reads the mailbox. *)
+
 val total_ops : t -> int

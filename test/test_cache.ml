@@ -109,6 +109,38 @@ let test_risc_cpu_store_evicts () =
   ignore (Cpu.step cpu);
   check_int "CPU store invalidated the cached decode" 7 cpu.Cpu.gpr.(3)
 
+(* Wild execution through a zero-filled page (the P4 hang shape): every pc is
+   new, so after the 256-miss bypass streak each step is served by the
+   content-keyed memo instead of a decode. Those steps are memo hits, a
+   sub-count of the slow-path misses, and count as served in the hit rate. *)
+let test_cisc_zero_march_split () =
+  let module Cpu = Ferrite_cisc.Cpu in
+  let mem = Memory.create () in
+  Memory.map mem ~addr:code_base ~size:0x2000 ~perm:Memory.perm_rx;
+  Memory.map mem ~addr:0xC0200000 ~size:0x1000 ~perm:Memory.perm_rw;
+  let cpu = Cpu.create ~mem ~stop_addr in
+  cpu.Cpu.eip <- code_base;
+  (* 00 00 = add [eax], al: a two-byte instruction storing into the data page *)
+  cpu.Cpu.regs.(Cpu.eax) <- 0xC0200000;
+  for _ = 1 to 1000 do
+    match Cpu.step cpu with
+    | Cpu.Retired -> ()
+    | _ -> Alcotest.fail "the zero march stopped"
+  done;
+  check_int "marched two bytes a step" (code_base + 2000) cpu.Cpu.eip;
+  let hits, misses = Cpu.decode_cache_stats cpu in
+  let memo, reval = Cpu.decode_service_stats cpu in
+  check_int "no pc-keyed hits" 0 hits;
+  check_int "every step entered the slow path" 1000 misses;
+  (* 256 cold misses, one memo install, then the memo serves the rest *)
+  check_int "memo hits" (1000 - 256 - 1) memo;
+  check_int "nothing revalidated" 0 reval;
+  let cs =
+    { Cache_stats.zero with
+      Cache_stats.cs_decode_hits = hits; cs_decode_misses = misses; cs_decode_memo_hits = memo }
+  in
+  Alcotest.(check (float 1e-9)) "memo hits count as served" 0.743 (Cache_stats.decode_hit_rate cs)
+
 (* --- differential property ------------------------------------------------ *)
 
 (* forked fabric workers inherit the fast-path default set here *)
@@ -173,6 +205,7 @@ let () =
           Alcotest.test_case "risc flip evicts" `Quick test_risc_flip_evicts;
           Alcotest.test_case "cisc CPU store evicts" `Quick test_cisc_cpu_store_evicts;
           Alcotest.test_case "risc CPU store evicts" `Quick test_risc_cpu_store_evicts;
+          Alcotest.test_case "cisc zero march: memo split" `Quick test_cisc_zero_march_split;
         ] );
       ( "differential",
         [

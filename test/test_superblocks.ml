@@ -6,7 +6,12 @@
    ([Memory.set_superblocks_default false]) across fault models and worker
    counts; unit tests pin each precise-fallback edge (self-modifying stores,
    mid-block exceptions, armed breakpoints, block-boundary branches) and the
-   overflow/monotonicity contract of the diagnostic counters. *)
+   overflow/monotonicity contract of the diagnostic counters.
+
+   Exact cycle cutting of closed livelocks is held to the same standard:
+   hand-built loops on both ISAs and a hang-heavy differential property
+   compare cutting on and off ([Memory.set_cycle_cuts_default false]), and
+   negative cases pin what must never be cut. *)
 
 open Ferrite_machine
 module Campaign = Ferrite_injection.Campaign
@@ -289,14 +294,18 @@ let test_cache_stats_monotone_across_restore () =
 
 (* --- differential property: whole campaigns, byte for byte ---------------- *)
 
-(* forked fabric workers inherit the superblock default set here *)
-let run_campaign ?(workers = 1) ~sb cfg =
-  Memory.set_superblocks_default sb;
+(* Run a campaign with one process-global default ([set]) switched to [on];
+   forked fabric workers inherit it. *)
+let run_with ?(workers = 1) ~set ~on cfg =
+  set on;
   Fun.protect
-    ~finally:(fun () -> Memory.set_superblocks_default true)
+    ~finally:(fun () -> set true)
     (fun () ->
       fst
         (Ferrite_fabric.Fabric.run ~workers ~tracer:Ferrite_trace.Tracer.default_config cfg))
+
+let run_campaign ?workers ~sb cfg =
+  run_with ?workers ~set:Memory.set_superblocks_default ~on:sb cfg
 
 (* The exact bytes the columnar store would persist for this campaign. *)
 let store_bytes res =
@@ -350,6 +359,171 @@ let prop_superblocks_invisible =
       && boots_eq par2
       && store_bytes seq = store_bytes par2)
 
+(* --- exact cycle cutting -------------------------------------------------- *)
+
+module Runner = Ferrite_workload.Runner
+module Workload = Ferrite_workload.Workload
+module Collector = Ferrite_injection.Collector
+module Tracer = Ferrite_trace.Tracer
+
+let images = [| lazy (Boot.build_image Image.Cisc); lazy (Boot.build_image Image.Risc) |]
+let loop_base = Ferrite_kernel.Abi.heap_base
+let loop_budget = { Engine.default_config with Engine.step_budget = 200_000 }
+
+type loop_code = Bytes of int list | Words of int list
+
+(* Boot, hijack the CPU into a hand-built loop on the (rwx) heap, and run one
+   trial to the watchdog under a 4096-event ring. The runner's first request
+   is issued and never completes, as in a hung kernel. *)
+let run_loop ~cuts ?(model = Fault_model.Single_bit_transient) ~code ~target () =
+  let arch = match code with Bytes _ -> Image.Cisc | Words _ -> Image.Risc in
+  let image = Lazy.force images.(match arch with Image.Cisc -> 0 | Image.Risc -> 1) in
+  Memory.set_cycle_cuts_default cuts;
+  let sys =
+    Fun.protect
+      ~finally:(fun () -> Memory.set_cycle_cuts_default true)
+      (fun () -> Boot.boot ~image arch)
+  in
+  (match code with
+  | Bytes bs -> List.iteri (fun i b -> System.poke8 sys (loop_base + i) b) bs
+  | Words ws -> List.iteri (fun i w -> System.poke32 sys (loop_base + (4 * i)) w) ws);
+  System.set_pc sys loop_base;
+  let wl = List.hd Workload.all in
+  let runner = Runner.create sys ~ops:(wl.Workload.wl_ops (Rng.create ~seed:1L)) in
+  let collector = Collector.create ~loss_rate:0.0 ~seed:9L () in
+  let tracer = Tracer.create Tracer.default_config in
+  let record =
+    Engine.run_one ~tracer ~model ~sys ~runner ~target:(target sys) ~collector loop_budget
+  in
+  ( record,
+    Tracer.trial_of tracer ~index:0 ~target:"loop" ~outcome:"",
+    Counters.stamp (System.counters sys),
+    System.cache_stats sys )
+
+(* Cutting on and off must agree on the record, the retained ring, the
+   telemetry and the final counters; [expect_cut] says whether the cutting
+   run may (and must) cut. *)
+let check_loop name ~expect_cut ?model ~code ~target () =
+  let r_on, tr_on, st_on, cs_on = run_loop ~cuts:true ?model ~code ~target () in
+  let r_off, tr_off, st_off, cs_off = run_loop ~cuts:false ?model ~code ~target () in
+  check_bool (name ^ ": same record") true (r_on = r_off);
+  check_bool (name ^ ": same retained events") true (tr_on.Tracer.tr_events = tr_off.Tracer.tr_events);
+  check_bool (name ^ ": ring holds events") true (List.length tr_on.Tracer.tr_events > 0);
+  check_bool (name ^ ": same telemetry") true (tr_on.Tracer.tr_telemetry = tr_off.Tracer.tr_telemetry);
+  Alcotest.(check (pair int int)) (name ^ ": same final counters") st_off st_on;
+  check_int (name ^ ": nothing cut with cutting off") 0 cs_off.Cache_stats.cs_cycle_cuts;
+  check_int (name ^ ": trials cut") (if expect_cut then 1 else 0) cs_on.Cache_stats.cs_cycle_cuts;
+  if expect_cut then begin
+    check_bool (name ^ ": hangs") true
+      (r_on.Ferrite_injection.Outcome.r_outcome = Ferrite_injection.Outcome.Hang);
+    check_bool (name ^ ": most of the run skipped") true
+      (cs_on.Cache_stats.cs_skipped_insns > loop_budget.Engine.step_budget / 2)
+  end
+
+(* an armed data watchpoint nobody touches: the run never activates *)
+let quiet_data _ = Target.Data_target { addr = loop_base + 0x800; bit = 3 }
+let stack_word sys = Target.Stack_target { task = 0; addr = System.sp sys; bit = 5 }
+
+let tight = [ (Bytes [ 0xEB; 0xFE ], "jmp $"); (Words [ 0x48000000 ], "b .") ]
+
+(* period 384 steps, three ticks: P4 mov ecx,191 / dec ecx / jnz / jmp;
+   G4 li r3,381 / mtctr r3 / bdnz . / b start *)
+let long_period =
+  [
+    (Bytes [ 0xB9; 191; 0; 0; 0; 0x49; 0x75; 0xFD; 0xEB; 0xF6 ], "p4 dec/jnz");
+    (Words [ 0x3860017D; 0x7C6903A6; 0x42000000; 0x4BFFFFF4 ], "g4 bdnz");
+  ]
+
+(* store to the watched stack word every iteration: a watchpoint hit and a
+   re-injection per period *)
+let watched =
+  [
+    (Bytes [ 0x89; 0x04; 0x24; 0xEB; 0xFB ], "p4 mov [esp]");
+    (Words [ 0x90610000; 0x4BFFFFFC ], "g4 stw r3,0(r1)");
+  ]
+
+(* count in a memory word to 20000, then fault: pc and registers repeat at
+   tick boundaries but the memory never does, so trusting the hint would
+   skip over the fault *)
+let counting =
+  [
+    ( Bytes
+        [ 0xB8; 0x00; 0x09; 0xA0; 0xC0; (* mov eax, counter *)
+          0x8B; 0x08; 0x41; 0x89; 0x08; (* mov ecx,[eax]; inc ecx; mov [eax],ecx *)
+          0x81; 0xF9; 0x20; 0x4E; 0x00; 0x00; (* cmp ecx, 20000 *)
+          0x74; 0x04; 0x31; 0xC9; 0xEB; 0xEF; (* je ud2; xor ecx,ecx; jmp back *)
+          0x0F; 0x0B ],
+      "p4 memory counter" );
+    ( Words
+        [ 0x3CA0C0A0; 0x60A50900; (* r5 = counter *)
+          0x80850000; 0x38840001; 0x90850000; (* lwz; addi; stw *)
+          0x2C044E20; 0x4182000C; (* cmpwi r4, 20000; beq illegal *)
+          0x38800000; 0x4BFFFFE8; (* li r4, 0; b back *)
+          0 ],
+      "g4 memory counter" );
+  ]
+
+let test_cut_loops () =
+  List.iter (fun (code, n) -> check_loop ("tight " ^ n) ~expect_cut:true ~code ~target:quiet_data ()) tight;
+  List.iter
+    (fun (code, n) -> check_loop ("long period " ^ n) ~expect_cut:true ~code ~target:quiet_data ())
+    long_period;
+  List.iter
+    (fun (code, n) -> check_loop ("watched word " ^ n) ~expect_cut:true ~code ~target:stack_word ())
+    watched
+
+let test_never_cut () =
+  List.iter
+    (fun (code, n) -> check_loop ("counting " ^ n) ~expect_cut:false ~code ~target:quiet_data ())
+    counting;
+  (* a register flip still waiting for its instruction: skipping periods
+     would jump over the injection point *)
+  let pending _ = Target.Reg_target { index = 0; name = "r"; bit = 2; at_instr = max_int } in
+  List.iter
+    (fun (code, n) -> check_loop ("pending register " ^ n) ~expect_cut:false ~code ~target:pending ())
+    tight;
+  (* an intermittent fault toggles on ticks: the machine is never closed *)
+  let model = Fault_model.Intermittent { period = 8; duty = 4; seed = 0L } in
+  List.iter
+    (fun (code, n) -> check_loop ("intermittent " ^ n) ~expect_cut:false ~model ~code ~target:quiet_data ())
+    tight
+
+let run_cut_campaign ?workers ~cuts cfg =
+  run_with ?workers ~set:Memory.set_cycle_cuts_default ~on:cuts cfg
+
+(* Hang-heavy plans: G4 code and P4 stack flips under a small step budget,
+   so many trials reach the watchdog and the closed ones are cut. *)
+let prop_cuts_invisible =
+  QCheck.Test.make
+    ~name:
+      "cut-on == cut-off on hang-heavy plans (records, telemetry, traces, dumps, store \
+       bytes; 1 and 2 workers)"
+    ~count:6
+    QCheck.(pair (int_bound 0xFFFF) bool)
+    (fun (seed, g4) ->
+      let arch, kind = if g4 then (Image.Risc, Target.Code) else (Image.Cisc, Target.Stack) in
+      let cfg =
+        {
+          (Campaign.default ~arch ~kind ~injections:12) with
+          Campaign.seed = Int64.of_int (succ seed);
+          engine = { Engine.default_config with Engine.step_budget = 40_000 };
+        }
+      in
+      let base = run_cut_campaign ~cuts:false cfg in
+      let seq = run_cut_campaign ~cuts:true cfg in
+      let par2 = run_cut_campaign ~workers:2 ~cuts:true cfg in
+      base.Campaign.records = seq.Campaign.records
+      && base.Campaign.telemetry = seq.Campaign.telemetry
+      && base.Campaign.traces = seq.Campaign.traces
+      && base.Campaign.dumps = seq.Campaign.dumps
+      && store_bytes base = store_bytes seq
+      && base.Campaign.records = par2.Campaign.records
+      && base.Campaign.traces = par2.Campaign.traces
+      && base.Campaign.dumps = par2.Campaign.dumps
+      && Ferrite_trace.Telemetry.with_boots base.Campaign.telemetry par2.Campaign.reboots
+         = Ferrite_trace.Telemetry.with_boots par2.Campaign.telemetry par2.Campaign.reboots
+      && store_bytes seq = store_bytes par2)
+
 let test_sb_stats_reflect_mode () =
   let cfg =
     {
@@ -398,9 +572,15 @@ let () =
           Alcotest.test_case "monotone across restore" `Quick
             test_cache_stats_monotone_across_restore;
         ] );
+      ( "cycle cuts",
+        [
+          Alcotest.test_case "closed loops are cut exactly" `Quick test_cut_loops;
+          Alcotest.test_case "open or ticking runs are never cut" `Quick test_never_cut;
+        ] );
       ( "differential",
         [
           q prop_superblocks_invisible;
+          q prop_cuts_invisible;
           Alcotest.test_case "sb stats reflect mode" `Quick
             test_sb_stats_reflect_mode;
         ] );

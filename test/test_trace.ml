@@ -52,7 +52,32 @@ let test_telemetry_only_keeps_counters () =
   check_int "flips include reinjections" 2 tl.Telemetry.tl_flips;
   check_int "reinjections" 1 tl.Telemetry.tl_reinjections;
   check_int "activations" 1 tl.Telemetry.tl_activations;
-  check_int "events counted" 4 tl.Telemetry.tl_events
+  check_int "events counted" 4 tl.Telemetry.tl_events;
+  let lines = String.split_on_char '\n' (Telemetry.render tl) in
+  check_bool "render says the events were not retained" true
+    (List.mem "  events_dropped     not retained" lines);
+  let ring = Tracer.create Tracer.default_config in
+  Tracer.record ring (stamp 0) (flip 0);
+  check_bool "a retaining ring still renders its drop count" true
+    (List.mem "  events_dropped     0"
+       (String.split_on_char '\n' (Telemetry.render (Tracer.telemetry ring))))
+
+(* Bulk accounting: repeating the stretch since a mark advances every
+   counter as if it had been recorded again. *)
+let test_repeat_since_mark () =
+  let t = Tracer.create { Tracer.trace_capacity = 4 } in
+  Tracer.record t (stamp 0) (Event.Trial_begin { trial = 0; target = "t" });
+  let m = Tracer.mark t in
+  Tracer.record t (stamp 1) (Event.Watch_hit { addr = 0; is_write = true });
+  Tracer.record t (stamp 2) (Event.Reinject { addr = 0; bit = 1 });
+  check_int "events since the mark" 2 (Tracer.events_since t m);
+  Tracer.repeat t ~since:m ~times:3;
+  let tl = Tracer.telemetry t in
+  check_int "events" 9 tl.Telemetry.tl_events;
+  check_int "reinjections" 4 tl.Telemetry.tl_reinjections;
+  check_int "flips" 4 tl.Telemetry.tl_flips;
+  check_int "trials untouched" 1 tl.Telemetry.tl_trials;
+  check_int "dropped follows the total" 5 (Tracer.dropped t)
 
 let test_negative_capacity_rejected () =
   match Tracer.create { Tracer.trace_capacity = -1 } with
@@ -183,6 +208,7 @@ let () =
           Alcotest.test_case "under capacity" `Quick test_ring_under_capacity;
           Alcotest.test_case "telemetry-only" `Quick test_telemetry_only_keeps_counters;
           Alcotest.test_case "negative capacity" `Quick test_negative_capacity_rejected;
+          Alcotest.test_case "repeat since mark" `Quick test_repeat_since_mark;
         ] );
       ( "telemetry",
         [
