@@ -438,27 +438,9 @@ module Controller = struct
        merged entry is appended as it lands, so a drained (SIGTERM) or
        degraded campaign leaves a valid journal any later run can resume. *)
     let writer, recovery =
-      match journal with
-      | None -> (None, Journal.empty_recovery)
-      | Some path ->
-        (* hash with the supervision fingerprint the in-process supervisor
-           would use under the same policy/chaos, so fabric journals and
-           supervisor journals resume each other *)
-        let sv =
-          {
-            Campaign.sv_policy = policy;
-            sv_chaos = chaos;
-            sv_journal = Some path;
-            sv_resume = resume;
-          }
-        in
-        let hash =
-          Journal.plan_hash_of_string (Campaign.plan_fingerprint ~supervision:sv cfg)
-        in
-        if (not resume) && Sys.file_exists path then Sys.remove path;
-        (* without [resume] the file was just removed: [rc] is empty *)
-        let w, rc = Journal.open_for_append ~path ~plan_hash:hash in
-        (Some w, rc)
+      Campaign.open_journal
+        { Campaign.sv_policy = policy; sv_chaos = chaos; sv_journal = journal; sv_resume = resume }
+        cfg
     in
     let t =
       {

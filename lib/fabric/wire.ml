@@ -2,12 +2,9 @@ module Journal = Ferrite_injection.Journal
 module Campaign = Ferrite_injection.Campaign
 module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
+module Frame = Ferrite_iofault.Frame
 
 let protocol_version = 3
-
-(* Same ceiling as the journal's frame walk: a length field beyond this is
-   garbage, not a message we have not finished receiving. *)
-let max_payload = 64 * 1024 * 1024
 
 type wire_chaos = { wc_drop : float; wc_dup : float; wc_reorder : float }
 
@@ -70,17 +67,8 @@ let chaos_eligible = function
 
 (* {2 Encoding} *)
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr (v land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
-
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+let put_u32 = Frame.put_u32
+let get_u32 = Frame.get_u32
 
 let encode_payload msg =
   let b = Buffer.create 64 in
@@ -190,39 +178,12 @@ let decode_payload s =
       | None -> None)
     | _ -> None
 
-let encode msg = Journal.frame (encode_payload msg)
+let encode msg = Frame.encode (encode_payload msg)
 
-(* {2 Frame walking} *)
-
-(* One frame at [off]: [Complete (msg, next_off)] | [Partial] (need more
-   bytes) | [Invalid] (bad length, CRC or payload). The same three-way split
-   serves [decode_prefix] (Partial and Invalid both stop the walk) and the
-   live decoder (Partial waits, Invalid raises). *)
-type parse = Complete of msg * int | Partial | Invalid of string
-
-let parse_frame s off =
-  let n = String.length s in
-  if n - off < 8 then Partial
-  else
-    let len = get_u32 s off in
-    if len < 0 || len > max_payload then Invalid "frame length out of range"
-    else if n - off - 8 < len then Partial
-    else
-      let crc = get_u32 s (off + 4) in
-      let payload = String.sub s (off + 8) len in
-      if Journal.crc32 payload <> crc then Invalid "frame CRC mismatch"
-      else
-        match decode_payload payload with
-        | Some m -> Complete (m, off + 8 + len)
-        | None -> Invalid "undecodable payload"
-
+(* Torn or corrupt input stops the walk exactly like a torn journal tail. *)
 let decode_prefix s =
-  let rec walk acc off =
-    match parse_frame s off with
-    | Complete (m, off') -> walk (m :: acc) off'
-    | Partial | Invalid _ -> (List.rev acc, off)
-  in
-  walk [] 0
+  let acc, off = Frame.fold decode_payload (fun acc m -> m :: acc) [] s 0 in
+  (List.rev acc, off)
 
 (* {2 Incremental decoder} *)
 
@@ -239,10 +200,11 @@ let feed d buf n =
     d.dc_off <- 0
   end
 
+(* Partial waits for more bytes; Invalid on a stream socket is a peer bug. *)
 let next d =
-  match parse_frame d.dc_buf d.dc_off with
-  | Partial -> None
-  | Invalid reason -> raise (Corrupt reason)
-  | Complete (m, off') ->
+  match Frame.parse decode_payload d.dc_buf d.dc_off with
+  | Frame.Partial -> None
+  | Frame.Invalid reason -> raise (Corrupt reason)
+  | Frame.Complete (m, off') ->
     d.dc_off <- off';
     Some m

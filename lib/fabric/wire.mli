@@ -1,6 +1,6 @@
 (** The fabric wire protocol: one message type, one framing, both directions.
 
-    Every message travels as a {!Ferrite_injection.Journal.frame} —
+    Every message travels as a {!Ferrite_iofault.Frame} —
     [payload_len | crc32 | payload] — so the fabric's checkpoint format {e is}
     the journal's: a {!Result} payload embeds the exact
     {!Ferrite_injection.Journal.encode_entry} bytes the in-process supervisor
@@ -116,7 +116,7 @@ val decode_payload : string -> msg option
 (** Inverse of {!encode_payload}; [None] on any undecodable payload. *)
 
 val encode : msg -> string
-(** [Journal.frame (encode_payload m)] — the bytes that go on the wire. *)
+(** [Frame.encode (encode_payload m)] — the bytes that go on the wire. *)
 
 val decode_prefix : string -> msg list * int
 (** [decode_prefix bytes] walks the longest valid prefix of framed messages

@@ -173,6 +173,17 @@ let merge ?supervision cfg ~hot_profile ~reboots ~cache (trials : Executor.trial
     supervision;
   }
 
+let open_journal sv cfg =
+  match sv.sv_journal with
+  | None -> (None, Journal.empty_recovery)
+  | Some path ->
+    (* without --resume the path names a *new* journal: an old file there
+       (same plan or not) is replaced, never continued *)
+    if (not sv.sv_resume) && Sys.file_exists path then Sys.remove path;
+    let hash = Journal.plan_hash_of_string (plan_fingerprint ~supervision:sv cfg) in
+    let w, rc = Journal.open_for_append ~path ~plan_hash:hash in
+    (Some w, rc)
+
 let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(tracer = Ferrite_trace.Tracer.telemetry_only)
     ?supervision cfg =
   (* plan → execute → merge: build shared read-only inputs once, decompose
@@ -184,17 +195,7 @@ let run ?(progress = fun ~done_:_ ~total:_ -> ()) ?(tracer = Ferrite_trace.Trace
     match supervision with
     | None -> (None, None)
     | Some sv ->
-      let hash = Journal.plan_hash_of_string (plan_fingerprint ~supervision:sv cfg) in
-      let writer, recovery =
-        match sv.sv_journal with
-        | None -> (None, Journal.empty_recovery)
-        | Some path ->
-          (* without --resume the path names a *new* journal: an old file
-             there (same plan or not) is replaced, never continued *)
-          if (not sv.sv_resume) && Sys.file_exists path then Sys.remove path;
-          let w, rc = Journal.open_for_append ~path ~plan_hash:hash in
-          (Some w, rc)
-      in
+      let writer, recovery = open_journal sv cfg in
       ( Some
           (Supervisor.create ~policy:sv.sv_policy ~chaos:sv.sv_chaos ?journal:writer
              ~recovery ()),

@@ -66,6 +66,14 @@ val plan_fingerprint : ?supervision:supervision -> config -> string
     [--jobs 1] resume). With [?supervision], the chaos plan and retry ceiling
     are appended, since they shape quarantined records. *)
 
+val open_journal : supervision -> config -> Journal.writer option * Journal.recovery
+(** Open [sv_journal] for appending, bound to the hash of
+    [plan_fingerprint ~supervision cfg]. Without [sv_resume] an existing file
+    there is removed first; with it, the returned recovery holds the trials
+    to skip. [(None, Journal.empty_recovery)] without a journal path. The one
+    open-or-resume path of the in-process supervisor and the fabric
+    controller, so their journals resume each other. *)
+
 type result = {
   cfg : config;
   records : Outcome.record list;  (** in trial order, worker-count-independent *)

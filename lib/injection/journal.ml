@@ -1,11 +1,12 @@
 module Iofault = Ferrite_iofault.Iofault
+module Frame = Ferrite_iofault.Frame
 
 (* Append-only, CRC-framed campaign journal (checkpoint/resume).
 
    Layout:
 
      header  := magic "FERRITEJ" (8) | version (1) | plan_hash (8, LE)
-     frame   := payload_len (4, LE) | crc32(payload) (4, LE) | payload
+     frame   := Frame (payload_len | crc32 | payload)
      payload := Marshal of one {!entry}
 
    The file is written append-only, one flushed frame per completed trial, so
@@ -37,25 +38,6 @@ exception
   }
 
 exception Not_a_journal of string
-
-(* ---------- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ---------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
 
 (* ---------- plan hash (FNV-1a 64 over a canonical fingerprint) ---------- *)
 
@@ -147,19 +129,7 @@ let decode_v1_entry s : entry option =
   | e -> Some (upgrade_v1_entry e)
   | exception _ -> None
 
-(* ---------- little-endian u32 ---------- *)
-
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
-
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+(* ---------- little-endian u64 (the header's plan hash) ---------- *)
 
 let put_u64le buf v =
   for i = 0 to 7 do
@@ -181,14 +151,7 @@ let header_bytes ~plan_hash =
   put_u64le buf plan_hash;
   Buffer.contents buf
 
-let frame_bytes payload =
-  let buf = Buffer.create (8 + String.length payload) in
-  put_u32 buf (String.length payload);
-  put_u32 buf (crc32 payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
-
-let frame = frame_bytes
+let frame = Frame.encode
 
 (* ---------- recovery ---------- *)
 
@@ -202,20 +165,10 @@ type recovery = {
 let empty_recovery =
   { rc_entries = []; rc_valid_bytes = 0; rc_truncated_bytes = 0; rc_format = 2 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* A frame length field can be arbitrary garbage on a torn tail; anything
-   beyond this bound is rejected before we try to allocate it. *)
-let max_frame_payload = 64 * 1024 * 1024
-
 let recover ~path ~plan_hash =
   if not (Sys.file_exists path) then empty_recovery
   else begin
-    let data = read_file path in
+    let data = Frame.read_file path in
     let len = String.length data in
     if len < header_size then
       (* torn mid-header: the whole file is the tail *)
@@ -227,23 +180,7 @@ let recover ~path ~plan_hash =
       if (ver <> version && ver <> v1_version) || found <> plan_hash then
         raise (Header_mismatch { hm_path = path; hm_expected = plan_hash; hm_found = found });
       let decode = if ver = v1_version then decode_v1_entry else decode_entry in
-      let rec walk off acc =
-        if off + 8 > len then (off, acc)
-        else begin
-          let plen = get_u32 data off in
-          let crc = get_u32 data (off + 4) in
-          if plen < 0 || plen > max_frame_payload || off + 8 + plen > len then (off, acc)
-          else begin
-            let payload = String.sub data (off + 8) plen in
-            if crc32 payload <> crc then (off, acc)
-            else
-              match decode payload with
-              | None -> (off, acc)
-              | Some e -> walk (off + 8 + plen) (e :: acc)
-          end
-        end
-      in
-      let valid, acc = walk header_size [] in
+      let acc, valid = Frame.fold decode (fun acc e -> e :: acc) [] data header_size in
       {
         rc_entries = List.rev acc;
         rc_valid_bytes = valid;
@@ -255,80 +192,52 @@ let recover ~path ~plan_hash =
 
 (* ---------- writer ---------- *)
 
-(* Writes go through the seeded I/O fault layer. Retriable faults (EINTR,
-   EAGAIN, short writes) are absorbed by [Iofault.write_fully], so under a
-   recoverable fault plan the file is byte-identical to a fault-free run.
-   ENOSPC/EIO flip the writer into a degraded mode: the campaign keeps
-   running, entries are counted instead of persisted, and whatever frames
-   made it to disk remain a valid recoverable prefix for [--resume]. *)
-type writer = {
-  w_path : string;
-  w_io : Iofault.t;
-  mutable w_degraded : bool;
-  mutable w_dropped : int;
-}
-
-let degraded w = w.w_degraded
-let dropped_entries w = w.w_dropped
-
-let degrade w op =
-  if not w.w_degraded then begin
-    w.w_degraded <- true;
-    Iofault.note_salvage "journal";
-    Printf.eprintf
-      "ferrite: journal %s: %s; persisting stopped — the campaign continues and the \
-       on-disk prefix stays resumable\n\
-       %!"
-      w.w_path op
-  end;
-  w.w_dropped <- w.w_dropped + 1
+(* Appends go through the degrading sink: retriable faults are absorbed, so
+   under a recoverable fault plan the file is byte-identical to a fault-free
+   run; ENOSPC/EIO stop persisting while the campaign keeps running, and the
+   frames already on disk remain a valid recoverable prefix for [--resume]. *)
+type writer = Iofault.sink
 
 let open_for_append ~path ~plan_hash =
   let rc = recover ~path ~plan_hash in
-  if rc.rc_format <> 2 then begin
-    (* v1 journal: migrate via a temp file in the same directory, fsynced
-       and atomically renamed over the original — a crash or kill at any
-       point leaves either the intact v1 file or the complete v2 one, never
-       a half-rewritten journal. The rewrite re-encodes the recovered
-       (upgraded) entries, dropping any torn tail with them. *)
-    let tmp = path ^ ".migrate.tmp" in
-    let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
-    (try
-       output_string oc (header_bytes ~plan_hash);
-       List.iter (fun e -> output_string oc (frame_bytes (encode_entry e))) rc.rc_entries;
-       flush oc;
-       (* An injected fsync failure is a durability downgrade, not data
-          loss: the rename still lands the complete rewrite, it just isn't
-          guaranteed to survive a power cut. Report it and carry on. *)
-       (try Iofault.fsync (Iofault.wrap_file ~label:"journal-migrate" (Unix.descr_of_out_channel oc))
-        with Unix.Unix_error (Unix.EIO, _, _) ->
-          Printf.eprintf "ferrite: journal %s: fsync failed during v1 migration (durability downgrade)\n%!" path);
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp path
-  end
-  else if rc.rc_truncated_bytes > 0 then
-    (* chop the torn tail before appending; [rc_valid_bytes] is 0 when the
-       header itself was torn, in which case the file restarts from scratch *)
-    Unix.truncate path rc.rc_valid_bytes;
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
-  let w = { w_path = path; w_io = Iofault.wrap_file ~label:"journal" fd; w_degraded = false; w_dropped = 0 } in
-  if rc.rc_format = 2 && rc.rc_valid_bytes = 0 then begin
-    try Iofault.write_fully w.w_io (header_bytes ~plan_hash)
-    with Unix.Unix_error ((Unix.ENOSPC | Unix.EIO), _, _) -> degrade w "header write failed"
-  end;
-  (w, rc)
+  let keep =
+    if rc.rc_format = 2 then rc.rc_valid_bytes
+    else begin
+      (* v1 journal: migrate via a temp file in the same directory, fsynced
+         and atomically renamed over the original — a crash or kill at any
+         point leaves either the intact v1 file or the complete v2 one,
+         never a half-rewritten journal. The rewrite re-encodes the
+         recovered (upgraded) entries, dropping any torn tail with them. *)
+      let migrated =
+        String.concat ""
+          (header_bytes ~plan_hash :: List.map (fun e -> frame (encode_entry e)) rc.rc_entries)
+      in
+      let tmp = path ^ ".migrate.tmp" in
+      let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
+      (try
+         output_string oc migrated;
+         flush oc;
+         (* An injected fsync failure is a durability downgrade, not data
+            loss: the rename still lands the complete rewrite, it just isn't
+            guaranteed to survive a power cut. Report it and carry on. *)
+         (try Iofault.fsync (Iofault.wrap_file ~label:"journal-migrate" (Unix.descr_of_out_channel oc))
+          with Unix.Unix_error (Unix.EIO, _, _) ->
+            Printf.eprintf "ferrite: journal %s: fsync failed during v1 migration (durability downgrade)\n%!" path);
+         close_out oc
+       with e ->
+         close_out_noerr oc;
+         (try Sys.remove tmp with Sys_error _ -> ());
+         raise e);
+      Sys.rename tmp path;
+      String.length migrated
+    end
+  in
+  (* [keep] is 0 when the file is missing or its header was torn: the file
+     then restarts from a fresh header *)
+  ( Iofault.append_sink ~label:"journal" ~name:"journal"
+      ~after:"persisting stopped — the campaign continues and the on-disk prefix stays resumable"
+      ~header:(header_bytes ~plan_hash) ~keep path,
+    rc )
 
-let append w entry =
-  if w.w_degraded then w.w_dropped <- w.w_dropped + 1
-  else
-    try Iofault.write_fully w.w_io (frame_bytes (encode_entry entry))
-    with Unix.Unix_error ((Unix.ENOSPC as e), _, _) | Unix.Unix_error ((Unix.EIO as e), _, _)
-    ->
-      degrade w
-        (if e = Unix.ENOSPC then "out of space (ENOSPC)" else "write failed (EIO)")
-
-let close w = try Iofault.close w.w_io with Unix.Unix_error _ -> ()
+let append w entry = ignore (Iofault.sink_write w (frame (encode_entry entry)))
+let close = Iofault.sink_close

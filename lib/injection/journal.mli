@@ -2,9 +2,9 @@
     the supervision layer.
 
     One flushed frame per completed trial means a killed campaign can only
-    leave a {e torn tail}; {!recover} walks the longest valid prefix (length +
-    CRC32 per frame) and reports how many bytes of tail were discarded, and
-    {!open_for_append} truncates that tail before appending. The header binds
+    leave a {e torn tail}; {!recover} walks the longest valid prefix of
+    {!Ferrite_iofault.Frame}s and reports how many bytes of tail were
+    discarded, and {!open_for_append} truncates that tail before appending. The header binds
     the file to one campaign plan via a jobs-independent hash, so resuming
     against a journal written by a different suite/seed/config raises
     {!Header_mismatch} instead of silently mixing campaigns.
@@ -28,16 +28,13 @@ val plan_hash_of_string : string -> int64
 (** FNV-1a 64 of a canonical plan fingerprint (see
     {!Campaign.plan_fingerprint}). *)
 
-val crc32 : string -> int
-(** IEEE CRC32 of a string (exposed for tests). *)
-
 val header_size : int
 
 val frame : string -> string
-(** [frame payload] is the journal's on-disk framing of one payload —
-    [payload_len (4, LE) | crc32(payload) (4, LE) | payload]. Exposed so the
-    distributed fabric can reuse the exact same framing as its wire format:
-    a fabric [Result] message {e is} a journal frame in flight. *)
+(** [frame payload] is the journal's on-disk framing of one payload:
+    {!Ferrite_iofault.Frame.encode}, the framing the store and the fabric
+    wire share, so a fabric [Result] message {e is} a journal frame in
+    flight. *)
 
 type entry = {
   je_index : int;  (** trial index *)
@@ -91,15 +88,10 @@ val open_for_append : path:string -> plan_hash:int64 -> writer * recovery
     first — v2 header, upgraded entries re-encoded — so appended frames are
     always v2. *)
 
-val degraded : writer -> bool
-(** The writer hit ENOSPC/EIO and stopped persisting; the on-disk prefix is
-    still a valid, resumable journal. *)
-
-val dropped_entries : writer -> int
-(** Entries accepted after degradation (counted, not persisted). *)
-
 val append : writer -> entry -> unit
 (** Frame, write and flush one entry, so a kill after [append] returns never
-    loses that trial. *)
+    loses that trial. On ENOSPC/EIO the writer degrades
+    ({!Ferrite_iofault.Iofault.sink_write}): the campaign keeps running and
+    the on-disk prefix is still a valid, resumable journal. *)
 
 val close : writer -> unit

@@ -328,3 +328,42 @@ let fsync t =
       Unix.fsync t.t_fd
 
 let close t = Unix.close t.t_fd
+
+(* ------------------------------------------------------------------ *)
+(* The degrading append sink                                           *)
+(* ------------------------------------------------------------------ *)
+
+type sink = {
+  sk_io : t;
+  sk_path : string;
+  sk_name : string;  (* salvage label and banner prefix *)
+  sk_after : string;  (* banner tail: what the degraded writer does next *)
+  mutable sk_degraded : bool;
+}
+
+let sink_write s bytes =
+  (not s.sk_degraded)
+  &&
+  try
+    write_fully s.sk_io bytes;
+    true
+  with Unix.Unix_error (((Unix.ENOSPC | Unix.EIO) as e), _, _) ->
+    s.sk_degraded <- true;
+    note_salvage s.sk_name;
+    Printf.eprintf "ferrite: %s %s: %s; %s\n%!" s.sk_name s.sk_path
+      (if e = Unix.ENOSPC then "out of space (ENOSPC)" else "write failed (EIO)")
+      s.sk_after;
+    false
+
+let append_sink ~label ~name ~after ?header ~keep path =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
+  if (Unix.fstat fd).Unix.st_size > keep then Unix.ftruncate fd keep;
+  let s =
+    { sk_io = wrap_file ~label fd; sk_path = path; sk_name = name; sk_after = after;
+      sk_degraded = false }
+  in
+  (match header with Some h when keep = 0 -> ignore (sink_write s h) | _ -> ());
+  s
+
+let sink_degraded s = s.sk_degraded
+let sink_close s = try close s.sk_io with Unix.Unix_error _ -> ()

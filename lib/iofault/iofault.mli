@@ -16,10 +16,17 @@
       absorbed by {!write_fully} with bounded exponential backoff; the
       resulting file/stream bytes are identical to a fault-free run.
     - {e degraded}: ENOSPC (a global byte budget shared by all file handles)
-      and persistent EIO — surfaced to the caller, which switches to an
-      in-memory spill and reports a salvage state ({!note_salvage}).
+      and persistent EIO — surfaced to the caller, which stops persisting,
+      keeps counting, and reports a salvage state ({!note_salvage}).
     - {e reported}: injected fsync failure — a durability downgrade, logged
       and counted, never fatal.
+
+    Persistence writers do not handle the degraded faults themselves: the
+    journal, the columnar store and the JSONL trace export all append
+    through one {!sink}, whose frames (where a format has them) are
+    {!Frame}'s. The sink turns the first ENOSPC/EIO into a salvage event and
+    a banner, and drops every later write, so the bytes already on disk stay
+    a valid prefix.
 
     The global fault/retry/salvage counters are mutex-protected and folded
     into the CLI report lines and BENCH_campaign.json. *)
@@ -114,7 +121,31 @@ val note_retry : unit -> unit
 
 val note_salvage : string -> unit
 (** Record a degradation event under a short label ("journal", "store",
-    "drain"); shown in the degraded-state banner. *)
+    "trace", "drain"); shown in the degraded-state banner. File writers
+    report through {!sink_write}; only the fabric's drain calls this
+    directly. *)
+
+(** {2 The degrading append sink} *)
+
+type sink
+(** An append-only file writer that degrades instead of failing. *)
+
+val append_sink :
+  label:string -> name:string -> after:string -> ?header:string -> keep:int -> string -> sink
+(** [append_sink ~label ~name ~after ?header ~keep path] keeps the first
+    [keep] bytes of [path] (the valid prefix a reader found; 0 starts the
+    file afresh), opens it [O_APPEND|O_CREAT] wrapped under [label], and,
+    when nothing was kept, writes [header] as its own write. [name] is the
+    salvage label and banner prefix; [after] ends the banner with what the
+    campaign does next. *)
+
+val sink_write : sink -> string -> bool
+(** Write the whole string as one {!write_fully} call. On ENOSPC/EIO the
+    sink degrades: one [note_salvage name], one banner on stderr, and
+    [false]. A degraded sink writes nothing more and returns [false]. *)
+
+val sink_degraded : sink -> bool
+val sink_close : sink -> unit
 
 val salvage_labels : unit -> string list
 (** Labels passed to {!note_salvage}, oldest first, deduplicated. *)

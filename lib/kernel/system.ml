@@ -74,11 +74,6 @@ let superblocks_on t =
   | Ccpu c -> c.Ferrite_cisc.Cpu.sb_enabled
   | Rcpu r -> r.Ferrite_risc.Cpu.sb_enabled
 
-let set_superblocks t on =
-  match t.cpu with
-  | Ccpu c -> c.Ferrite_cisc.Cpu.sb_enabled <- on
-  | Rcpu r -> r.Ferrite_risc.Cpu.sb_enabled <- on
-
 let prewarm t =
   let funcs =
     Array.fold_right

@@ -1,11 +1,12 @@
 module Iofault = Ferrite_iofault.Iofault
+module Frame = Ferrite_iofault.Frame
 
 (* Columnar on-disk result store.
 
    File layout (all integers little-endian or LEB128 varints):
 
      header := magic "FERRITEC" (8) | version (1)
-     block  := payload_len (4, LE) | crc32(payload) (4, LE) | payload
+     block  := Frame (payload_len | crc32 | payload)
 
    Each block is self-contained: its payload carries a row count followed by
    one column at a time, in a fixed order, with per-block string dictionaries
@@ -29,11 +30,12 @@ module Iofault = Ferrite_iofault.Iofault
      dict    := varint nstrings | (varint len | bytes)*  | varint code per row
      optdict := same, but code 0 is None and code k+1 is string k
 
-   The framing deliberately mirrors [Journal]: a reader walks CRC-checked
-   frames and stops at the first bad one, so a crash mid-append degrades to a
-   shorter, still-valid store. Unlike the journal, payloads are hand-encoded
-   (no [Marshal]): the format is stable across compiler versions and safe to
-   mmap-style scan without trusting the producer. *)
+   A reader walks the frames and stops at the first bad one, so a crash
+   mid-append degrades to a shorter, still-valid store. Unlike the journal,
+   payloads are hand-encoded (no [Marshal]): the format is stable across
+   compiler versions, and decoding is total — every count and length is
+   bounded by the payload bytes that remain, so a corrupted block ends the
+   walk like a torn one instead of allocating what it claims. *)
 
 type row = {
   r_index : int;
@@ -56,38 +58,7 @@ let header_size = String.length magic + 1
 
 exception Not_a_store of string
 
-(* ---------- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ---------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
-
-(* ---------- little-endian u32 / varint / zigzag ---------- *)
-
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
-
-let get_u32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+(* ---------- varint / zigzag ---------- *)
 
 (* unsigned LEB128 *)
 let put_varint buf v =
@@ -169,7 +140,12 @@ let encode_block rows =
 
 (* ---------- column decoders ---------- *)
 
+(* Every element a count or length announces takes at least one byte, so
+   one beyond the bytes that remain is corrupt: reject it before allocating. *)
+let bounded s pos n = if n < 0 || n > String.length s - pos then raise Truncated_payload
+
 let get_ints s pos n =
+  bounded s pos n;
   let arr = Array.make n 0 in
   let pos = ref pos in
   for i = 0 to n - 1 do
@@ -185,18 +161,19 @@ let get_zigzags s pos n =
 
 let get_dict s pos n =
   let ndict, pos = get_varint s pos in
+  bounded s pos ndict;
   let strings = Array.make ndict "" in
   let pos = ref pos in
   for i = 0 to ndict - 1 do
     let len, p = get_varint s !pos in
-    if p + len > String.length s then raise Truncated_payload;
+    bounded s p len;
     strings.(i) <- String.sub s p len;
     pos := p + len
   done;
   let codes, pos' = get_ints s !pos n in
   let arr =
     Array.map
-      (fun c -> if c < ndict then strings.(c) else raise Truncated_payload)
+      (fun c -> if c >= 0 && c < ndict then strings.(c) else raise Truncated_payload)
       codes
   in
   (arr, pos')
@@ -211,7 +188,6 @@ let get_optdict s pos n =
 
 let decode_block payload =
   let nrows, pos = get_varint payload 0 in
-  if nrows < 0 then raise Truncated_payload;
   let index, pos = get_ints payload pos nrows in
   let arch, pos = get_dict payload pos nrows in
   let kind, pos = get_dict payload pos nrows in
@@ -250,12 +226,6 @@ type scan = {
   sc_truncated_bytes : int;  (* torn tail dropped by the reader *)
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let check_header path data =
   if
     String.length data < header_size
@@ -265,38 +235,19 @@ let check_header path data =
 
 (* Walk CRC-framed blocks; the first bad frame (truncated, CRC mismatch, or
    undecodable payload) ends the walk — everything after it is torn tail. *)
-let fold_blocks path f init =
-  let data = read_file path in
-  check_header path data;
-  let len = String.length data in
-  let rec go off acc blocks =
-    if off + 8 > len then (acc, off, blocks)
-    else
-      let plen = get_u32 data off in
-      let crc = get_u32 data (off + 4) in
-      if plen < 0 || off + 8 + plen > len then (acc, off, blocks)
-      else
-        let payload = String.sub data (off + 8) plen in
-        if crc32 payload <> crc then (acc, off, blocks)
-        else
-          match decode_block payload with
-          | rows -> go (off + 8 + plen) (f acc rows) (blocks + 1)
-          | exception Truncated_payload -> (acc, off, blocks)
-  in
-  let acc, valid_end, blocks = go header_size init 0 in
-  ( acc,
-    (* sc_rows is filled by [fold], which counts while decoding *)
-    { sc_rows = 0; sc_blocks = blocks; sc_bytes = valid_end;
-      sc_truncated_bytes = len - valid_end } )
-
 let fold path f init =
-  let (acc, rows), sc =
-    fold_blocks path
-      (fun (acc, n) block ->
-        (Array.fold_left f acc block, n + Array.length block))
-      (init, 0)
+  let data = Frame.read_file path in
+  check_header path data;
+  let decode payload = try Some (decode_block payload) with Truncated_payload -> None in
+  let (acc, rows, blocks), valid_end =
+    Frame.fold decode
+      (fun (acc, rows, blocks) block ->
+        (Array.fold_left f acc block, rows + Array.length block, blocks + 1))
+      (init, 0, 0) data header_size
   in
-  (acc, { sc with sc_rows = rows })
+  ( acc,
+    { sc_rows = rows; sc_blocks = blocks; sc_bytes = valid_end;
+      sc_truncated_bytes = String.length data - valid_end } )
 
 let iter path f = fst (fold path (fun () r -> f r) ())
 
@@ -308,8 +259,8 @@ let read_all path =
 
 (* ---------- writing ----------
 
-   The writer is a raw [O_APPEND] file descriptor, and a block (frame header
-   + payload) goes to the kernel as ONE [write] call: POSIX appends are
+   The writer is an [O_APPEND] sink, and a block (frame header + payload)
+   goes to the kernel as ONE [write] call: POSIX appends are
    atomic with respect to the file offset, so two processes appending blocks
    concurrently interleave at block granularity — whole frames, never spliced
    bytes. That is the store's concurrency contract: concurrent appenders are
@@ -319,54 +270,26 @@ let read_all path =
    mid-frame.) *)
 
 type writer = {
-  io : Iofault.t;
-  path : string;
+  sink : Iofault.sink;  (* ENOSPC/EIO: stop persisting, keep counting *)
   block_rows : int;
   mutable pending : row list;  (* newest first *)
   mutable npending : int;
   mutable written : int;  (* rows flushed to disk *)
-  mutable degraded : bool;  (* ENOSPC/EIO: stop persisting, keep counting *)
   mutable dropped : int;  (* rows accepted after degradation *)
 }
 
 let default_block_rows = 4096
 
-(* One [write] per call in the common case; [Iofault.write_fully] retries
+(* One [write] per block in the common case; [Iofault.write_fully] retries
    EINTR/EAGAIN/short writes with bounded backoff, and under a recoverable
    fault plan produces the same bytes a fault-free run would. Faults that
    split a block across writes forfeit the multi-process interleaving
    guarantee for that block only — fault plans are a single-process test
    mode, never armed on shared production stores. *)
-let write_string io s = Iofault.write_fully io s
-
-let degrade w op =
-  if not w.degraded then begin
-    w.degraded <- true;
-    Iofault.note_salvage "store";
-    Printf.eprintf
-      "ferrite: store %s: %s; persisting stopped — rows are counted, the on-disk prefix \
-       stays scannable\n\
-       %!"
-      w.path op
-  end
-
 let flush_block w =
   if w.npending > 0 then begin
-    if not w.degraded then begin
-      let payload = encode_block (List.rev w.pending) in
-      let buf = Buffer.create (String.length payload + 8) in
-      put_u32 buf (String.length payload);
-      put_u32 buf (crc32 payload);
-      Buffer.add_string buf payload;
-      try
-        write_string w.io (Buffer.contents buf);
-        w.written <- w.written + w.npending
-      with Unix.Unix_error ((Unix.ENOSPC as e), _, _) | Unix.Unix_error ((Unix.EIO as e), _, _)
-      ->
-        degrade w
-          (if e = Unix.ENOSPC then "out of space (ENOSPC)" else "write failed (EIO)");
-        w.dropped <- w.dropped + w.npending
-    end
+    if Iofault.sink_write w.sink (Frame.encode (encode_block (List.rev w.pending))) then
+      w.written <- w.written + w.npending
     else w.dropped <- w.dropped + w.npending;
     w.pending <- [];
     w.npending <- 0
@@ -379,47 +302,36 @@ let append w row =
 
 let close w =
   flush_block w;
-  Iofault.close w.io
+  Iofault.sink_close w.sink
 
-let mk_writer ~block_rows ~path ~written fd =
+(* [keep] bytes of the file survive (0 starts a fresh store with its header);
+   [written] counts the rows they hold. *)
+let open_writer ~block_rows ~keep ~written path =
+  if block_rows <= 0 then invalid_arg "Store: block_rows must be positive";
   {
-    io = Iofault.wrap_file ~label:"store" fd;
-    path;
+    sink =
+      Iofault.append_sink ~label:"store" ~name:"store"
+        ~after:"persisting stopped — rows are counted, the on-disk prefix stays scannable"
+        ~header:(magic ^ String.make 1 version) ~keep path;
     block_rows;
     pending = [];
     npending = 0;
     written;
-    degraded = false;
     dropped = 0;
   }
 
 let create ?(block_rows = default_block_rows) path =
-  if block_rows <= 0 then invalid_arg "Store.create: block_rows must be positive";
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND ] 0o644
-  in
-  let w = mk_writer ~block_rows ~path ~written:0 fd in
-  (try write_string w.io (magic ^ String.make 1 version)
-   with Unix.Unix_error ((Unix.ENOSPC | Unix.EIO), _, _) -> degrade w "header write failed");
-  w
+  open_writer ~block_rows ~keep:0 ~written:0 path
 
 (* Append to an existing store: validate the header, then truncate any torn
    tail so the new blocks butt up against the last valid one. A missing file
    degrades to [create]. *)
 let open_append ?(block_rows = default_block_rows) path =
-  if block_rows <= 0 then invalid_arg "Store.open_append: block_rows must be positive";
   if not (Sys.file_exists path) then create ~block_rows path
-  else begin
+  else
     let sc = scan path in
-    if sc.sc_truncated_bytes > 0 then begin
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-      Unix.ftruncate fd sc.sc_bytes;
-      Unix.close fd
-    end;
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-    mk_writer ~block_rows ~path ~written:sc.sc_rows fd
-  end
+    open_writer ~block_rows ~keep:sc.sc_bytes ~written:sc.sc_rows path
 
 let rows_written w = w.written + w.npending + w.dropped
-let degraded w = w.degraded
+let degraded w = Iofault.sink_degraded w.sink
 let rows_dropped w = w.dropped

@@ -2,10 +2,11 @@
 
     One file holds the per-trial results of one or more campaigns as columnar
     blocks: each block carries a row count and one column at a time (varint
-    ints, zigzag option-ints, per-block string dictionaries), CRC-framed
-    exactly like {!Ferrite_injection.Journal} frames. Blocks are
-    self-contained, so a store can be appended to across sessions and a torn
-    tail (crash mid-append) loses at most the final partial block.
+    ints, zigzag option-ints, per-block string dictionaries), each block one
+    {!Ferrite_iofault.Frame}, the framing the journal and the fabric wire
+    share. Blocks are self-contained, so a store can be appended to across
+    sessions and a torn tail (crash mid-append) loses at most the final
+    partial block.
 
     Rows are deliberately plain strings and ints — the store knows nothing of
     the injection layer's types, so the format is stable and the library has
@@ -86,8 +87,10 @@ type scan = {
 
 val fold : string -> ('a -> row -> 'a) -> 'a -> 'a * scan
 (** Stream every row of the store through [f] in file order (campaign order:
-    writers emit rows in merged trial order). Stops at the first truncated or
-    CRC-damaged frame; the scan reports what was read and what was dropped.
+    writers emit rows in merged trial order). Stops at the first truncated,
+    CRC-damaged or undecodable frame; the scan reports what was read and
+    what was dropped. Never raises on a corrupted block: a count or length
+    larger than its payload ends the walk there.
     Memory is bounded by one block, not the file. *)
 
 val iter : string -> (row -> unit) -> unit

@@ -85,37 +85,18 @@ let event_line ~trial ((s : Event.stamp), ev) =
 let trial_lines (tr : Tracer.trial) =
   List.map (event_line ~trial:tr.Tracer.tr_index) tr.Tracer.tr_events
 
-let write_trials oc trials =
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (trial_lines tr))
-    trials
-
-(* Path-based variant routed through the seeded I/O fault layer: retriable
-   faults are absorbed, ENOSPC/EIO degrade to counting (the file keeps its
+(* Routed through the seeded I/O fault layer's degrading sink: retriable
+   faults are absorbed, ENOSPC/EIO stop the writes (the file keeps its
    newline-terminated prefix, the campaign keeps running). *)
 let write_trials_path path trials =
   let module Iofault = Ferrite_iofault.Iofault in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let io = Iofault.wrap_file ~label:"jsonl" fd in
-  let degraded = ref false in
+  let sink =
+    Iofault.append_sink ~label:"jsonl" ~name:"trace"
+      ~after:"remaining lines dropped, the prefix on disk is complete lines only" ~keep:0 path
+  in
   let buf = Buffer.create 65536 in
   let flush_buf () =
-    if (not !degraded) && Buffer.length buf > 0 then begin
-      try Iofault.write_fully io (Buffer.contents buf)
-      with Unix.Unix_error ((Unix.ENOSPC | Unix.EIO), _, _) ->
-        degraded := true;
-        Iofault.note_salvage "trace";
-        Printf.eprintf
-          "ferrite: trace %s: write failed; remaining lines dropped, the prefix on disk \
-           is complete lines only\n\
-           %!"
-          path
-    end;
+    ignore (Iofault.sink_write sink (Buffer.contents buf));
     Buffer.clear buf
   in
   List.iter
@@ -128,5 +109,5 @@ let write_trials_path path trials =
         (trial_lines tr))
     trials;
   flush_buf ();
-  Iofault.close io;
-  not !degraded
+  Iofault.sink_close sink;
+  not (Iofault.sink_degraded sink)

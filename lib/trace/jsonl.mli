@@ -11,13 +11,10 @@ val event_line : trial:int -> Event.stamp * Event.t -> string
 val trial_lines : Tracer.trial -> string list
 (** Every retained event of a trial, in order. *)
 
-val write_trials : out_channel -> Tracer.trial list -> unit
-(** Write every trial's lines, newline-terminated, in trial order. *)
-
 val write_trials_path : string -> Tracer.trial list -> bool
-(** Like {!write_trials} but opening [path] itself and routing the bytes
-    through the seeded I/O fault layer ({!Ferrite_iofault.Iofault}):
-    retriable faults are absorbed and the file is byte-identical to a
-    fault-free run; ENOSPC/EIO degrade to dropping the remaining lines
-    (the on-disk prefix is whole lines only). Returns [false] iff the
-    writer degraded. *)
+(** Write every trial's lines, newline-terminated, in trial order, to
+    [path] (replacing it), through the seeded I/O fault layer's degrading
+    {!Ferrite_iofault.Iofault.sink}: retriable faults are absorbed and the
+    file is byte-identical to a fault-free run; ENOSPC/EIO degrade to
+    dropping the remaining lines (the on-disk prefix is whole lines only).
+    Returns [false] iff the writer degraded. *)

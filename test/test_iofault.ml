@@ -3,10 +3,13 @@
    budget, and the qcheck salvage properties — a journal or store written
    under a recoverable fault plan is byte-identical to a fault-free run, any
    truncation of it recovers the longest valid prefix, and resuming from the
-   truncation re-creates the uninterrupted file bit for bit. *)
+   truncation re-creates the uninterrupted file bit for bit. Plus the
+   shared framing ([Frame]) every one of those formats is built on, and the
+   degrading sink every file writer appends through. *)
 
 open Ferrite_injection
 module Iofault = Ferrite_iofault.Iofault
+module Frame = Ferrite_iofault.Frame
 module Store = Ferrite_store.Store
 module Tracer = Ferrite_trace.Tracer
 
@@ -324,6 +327,91 @@ let prop_store_salvage =
                  Store.close w;
                  read_file path = clean))))
 
+(* ---------- the shared frame ---------- *)
+
+let some s = Some s
+
+let prop_frame_prefix_is_partial =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"frame: every strict prefix is Partial" ~count:100
+       QCheck.(string_of_size Gen.(0 -- 300))
+       (fun payload ->
+         let framed = Frame.encode payload in
+         let n = String.length framed in
+         let rec prefixes k =
+           k >= n
+           || (Frame.parse some (String.sub framed 0 k) 0 = Frame.Partial && prefixes (k + 1))
+         in
+         prefixes 0 && Frame.parse some framed 0 = Frame.Complete (payload, n)))
+
+let test_frame_invalid () =
+  let framed = Frame.encode "payload" in
+  let invalid s = match Frame.parse some s 0 with Frame.Invalid _ -> true | _ -> false in
+  let oversized =
+    let b = Buffer.create 16 in
+    Frame.put_u32 b (Frame.max_payload + 1);
+    Frame.put_u32 b 0;
+    Buffer.add_string b "xxxx";
+    Buffer.contents b
+  in
+  check_bool "length over max_payload is Invalid, not Partial" true (invalid oversized);
+  let flip i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x20) else c) framed
+  in
+  check_bool "CRC field mismatch is Invalid" true (invalid (flip 5));
+  check_bool "payload byte flip is Invalid" true (invalid (flip 9));
+  check_bool "undecodable payload is Invalid" true
+    (match Frame.parse (fun _ -> None) framed 0 with Frame.Invalid _ -> true | _ -> false);
+  (* the IEEE check value pins the polynomial and reflection *)
+  check_int "crc32 check value" 0xCBF43926 (Frame.crc32 "123456789")
+
+let prop_frame_fold_cut =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"frame: fold keeps exactly the frames before any cut" ~count:200
+       QCheck.(pair (small_list (string_of_size Gen.(0 -- 40))) (int_range 0 10_000))
+       (fun (payloads, cut_frac) ->
+         let stream = String.concat "" (List.map Frame.encode payloads) in
+         let cut = cut_frac * String.length stream / 10_000 in
+         let got, off =
+           Frame.fold some (fun acc p -> p :: acc) [] (String.sub stream 0 cut) 0
+         in
+         (* the frames that end at or before the cut, and where they end *)
+         let rec whole acc ends = function
+           | p :: rest when ends + 8 + String.length p <= cut ->
+             whole (p :: acc) (ends + 8 + String.length p) rest
+           | _ -> (acc, ends)
+         in
+         (got, off) = whole [] 0 payloads))
+
+(* ---------- the degrading sink ---------- *)
+
+let test_sink_keeps_prefix_and_degrades_once () =
+  disarmed (fun () ->
+      with_temp (fun path ->
+          let open_sink ?header ~keep () =
+            Iofault.append_sink ~label:"sink-test" ~name:"sink-test" ~after:"test" ?header ~keep
+              path
+          in
+          write_file path "HEADbodytorn";
+          let s = open_sink ~header:"HEAD" ~keep:8 () in
+          check_bool "append after the kept prefix" true (Iofault.sink_write s "more");
+          Iofault.sink_close s;
+          check_bool "torn tail cut, no second header" true (read_file path = "HEADbodymore");
+          let s = open_sink ~header:"HEAD" ~keep:0 () in
+          Iofault.sink_close s;
+          check_bool "keep 0 restarts with the header" true (read_file path = "HEAD");
+          Iofault.arm
+            ~plan:{ Iofault.recoverable_plan with Iofault.pl_enospc_after = Some 6 }
+            ~seed:1L ();
+          let s = open_sink ~keep:4 () in
+          check_bool "the write that hits ENOSPC returns false" false
+            (Iofault.sink_write s "0123456789");
+          check_bool "later writes are dropped" false (Iofault.sink_write s "x");
+          Iofault.sink_close s;
+          check_bool "degraded" true (Iofault.sink_degraded s);
+          check_int "one salvage event" 1 (Iofault.stats ()).Iofault.st_salvages;
+          check_bool "labelled by name" true (Iofault.salvage_labels () = [ "sink-test" ])))
+
 let () =
   Alcotest.run "ferrite_iofault"
     [
@@ -348,4 +436,15 @@ let () =
           Alcotest.test_case "salvage labels" `Quick test_salvage_labels_dedup;
         ] );
       ("salvage", [ prop_journal_salvage; prop_store_salvage ]);
+      ( "frame",
+        [
+          prop_frame_prefix_is_partial;
+          Alcotest.test_case "invalid frames" `Quick test_frame_invalid;
+          prop_frame_fold_cut;
+        ] );
+      ( "sink",
+        [
+          Alcotest.test_case "keeps the prefix, degrades once" `Quick
+            test_sink_keeps_prefix_and_degrades_once;
+        ] );
     ]

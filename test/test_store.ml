@@ -5,6 +5,7 @@
 open Ferrite_injection
 module Image = Ferrite_kir.Image
 module Store = Ferrite_store.Store
+module Frame = Ferrite_iofault.Frame
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -89,6 +90,41 @@ let test_torn_tail_recovery () =
   let rows, scan = Store.read_all path in
   check_int "first block survives a mid-frame cut" 2 (List.length rows);
   check_bool "cut tail counted" true (scan.Store.sc_truncated_bytes > 0);
+  Sys.remove path
+
+(* A CRC-valid block whose counts lie (2^33 rows; a 2^50-string dictionary)
+   must end the walk like a torn tail, not allocate what it claims. *)
+let test_corrupt_counts_end_the_walk () =
+  let varint v =
+    let b = Buffer.create 10 in
+    let rec go v =
+      if v < 0x80 then Buffer.add_char b (Char.chr v)
+      else begin
+        Buffer.add_char b (Char.chr (0x80 lor (v land 0x7F)));
+        go (v lsr 7)
+      end
+    in
+    go v;
+    Buffer.contents b
+  in
+  let path = tmp_store () in
+  let w = Store.create path in
+  List.iter (Store.append w) edge_rows;
+  Store.close w;
+  let intact = read_file path in
+  List.iter
+    (fun (what, payload) ->
+      let bad = Frame.encode payload in
+      write_file path (intact ^ bad);
+      let rows, scan = Store.read_all path in
+      check_bool (what ^ ": the block before survives") true (rows = edge_rows);
+      check_int (what ^ ": one valid block") 1 scan.Store.sc_blocks;
+      check_int (what ^ ": the lying block is tail") (String.length bad)
+        scan.Store.sc_truncated_bytes)
+    [
+      ("row count 2^33", varint (1 lsl 33));
+      ("dictionary size 2^50", varint 1 ^ varint 0 ^ varint (1 lsl 50));
+    ];
   Sys.remove path
 
 let test_append_across_sessions () =
@@ -284,6 +320,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "tiny blocks" `Quick test_tiny_blocks;
           Alcotest.test_case "torn tail" `Quick test_torn_tail_recovery;
+          Alcotest.test_case "lying counts end the walk" `Quick test_corrupt_counts_end_the_walk;
           Alcotest.test_case "append across sessions" `Quick test_append_across_sessions;
           Alcotest.test_case "concurrent appenders" `Quick test_concurrent_append;
           Alcotest.test_case "bad magic" `Quick test_not_a_store;
