@@ -52,11 +52,7 @@ let containment () =
       ch_outage = None;
     }
   in
-  let supervision =
-    { Campaign.default_supervision with
-      Campaign.sv_policy = Supervisor.instant_policy;
-      sv_chaos = chaos }
-  in
+  let supervision = { Campaign.default_supervision with Campaign.sv_chaos = chaos } in
   let undisturbed = Campaign.run cfg in
   let seq = Campaign.run ~supervision cfg in
   let par, _ = Fabric.run ~workers:2 ~supervision cfg in
@@ -184,11 +180,7 @@ let outage () =
     | Some w -> w
     | None -> fail "outage: drill plan for %d injections has no outage window" cfg.Campaign.injections
   in
-  let supervision =
-    { Campaign.default_supervision with
-      Campaign.sv_policy = Supervisor.instant_policy;
-      sv_chaos = chaos }
-  in
+  let supervision = { Campaign.default_supervision with Campaign.sv_chaos = chaos } in
   let r = Campaign.run ~supervision cfg in
   if List.length r.Campaign.records <> cfg.Campaign.injections then
     fail "outage: campaign did not complete";

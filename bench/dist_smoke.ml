@@ -6,7 +6,13 @@
    traces, dumps, collector stats, telemetry (boots excepted: they are a
    scheduling diagnostic), columnar-store bytes and the rendered per-model
    breakout. The kill must actually land mid-flight, and the death must show
-   up in the fabric report — otherwise the gate proved nothing. *)
+   up in the fabric report — otherwise the gate proved nothing.
+
+   A second stage drives [Fabric.run] through the CLI binary given as the
+   first argument: [ferrite inject --wire-chaos] forms a 2-worker fleet on
+   any host and must print the plain [-j 1] summary, apart from the
+   scheduling diagnostics ([reboots:], [caches:], telemetry [boots]) and the
+   [fabric:] report that only a fleet prints. *)
 
 module Image = Ferrite_kir.Image
 module Campaign = Ferrite_injection.Campaign
@@ -29,6 +35,39 @@ let store_bytes res =
   bytes
 
 let boots_blind t = Telemetry.with_boots t 0
+
+let inject_summary ferrite args =
+  let argv =
+    Array.of_list ([ ferrite; "inject"; "-a"; "g4"; "-k"; "register"; "-n"; "60" ] @ args)
+  in
+  let ic = Unix.open_process_args_in ferrite argv in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> String.split_on_char '\n' out
+  | _ -> fail "ferrite %s exited abnormally" (String.concat " " (List.tl (Array.to_list argv)))
+
+(* Drop the scheduling diagnostics; report whether a [fabric:] block was seen. *)
+let comparable lines =
+  let starts p l = String.starts_with ~prefix:p l in
+  let rec go in_fabric seen acc = function
+    | [] -> (List.rev acc, seen)
+    | l :: rest ->
+      if starts "fabric:" l || (in_fabric && starts "  " l) then go true true acc rest
+      else if starts "reboots:" l || starts "caches:" l || starts "  boots " l then
+        go false seen acc rest
+      else go false seen (l :: acc) rest
+  in
+  go false false [] lines
+
+let cli_stage ferrite =
+  let plain, plain_fleet = comparable (inject_summary ferrite []) in
+  let drilled, drilled_fleet =
+    comparable (inject_summary ferrite [ "--wire-chaos"; "0.1,0.05,0.05" ])
+  in
+  if plain_fleet then fail "plain 'inject' printed a fabric report";
+  if not drilled_fleet then fail "'inject --wire-chaos' did not run on a fleet";
+  if drilled <> plain then
+    fail "'inject --wire-chaos' printed a different summary from plain 'inject'"
 
 let () =
   let cfg =
@@ -71,9 +110,10 @@ let () =
     fail "store bytes differ between the fabric merge and the sequential run";
   if Ferrite.Report.model_breakout r <> Ferrite.Report.model_breakout reference then
     fail "the rendered model breakout differs between fabric and sequential";
+  cli_stage Sys.argv.(1);
   Printf.printf
     "dist-smoke ok: 48 injections over a 2-worker fabric with one SIGKILL and \
      one late join — records/traces/dumps/collector/telemetry/store bytes \
      byte-identical to the sequential run (%d fresh results, %d re-leased, %d \
-     duplicate(s) dropped)\n"
+     duplicate(s) dropped); 'inject --wire-chaos' summary matches plain 'inject'\n"
     report.Fabric.fb_results report.Fabric.fb_requeued report.Fabric.fb_dup_results

@@ -10,8 +10,7 @@
      oops      inject until a crash, then print the kernel crash dump
      disasm    disassemble a kernel function on either platform
      trace     replay a paper scenario (fig7/fig13/fig14) as an event timeline
-     triage    bucket crashes into the paper's sec. 5 root-cause families
-     worker    serve one campaign as a fabric worker over stdin/stdout *)
+     triage    bucket crashes into the paper's sec. 5 root-cause families *)
 
 open Cmdliner
 module Image = Ferrite_kir.Image
@@ -75,15 +74,7 @@ let jobs_arg =
   in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* --- distributed fabric flags (inject) --- *)
-
-let distributed_arg =
-  let doc =
-    "Spawn fabric workers as fresh 'ferrite worker' processes over \
-     stdin/stdout links instead of forked copies (2 workers unless --jobs \
-     asks for more)."
-  in
-  Arg.(value & flag & info [ "distributed" ] ~doc)
+(* --- fabric wire chaos (inject) --- *)
 
 let wire_chaos_conv =
   let parse s =
@@ -112,11 +103,12 @@ let wire_chaos_arg =
     "Arm seeded drop/duplicate/reorder chaos on every fabric link, both \
      directions ($(docv) = DROP or DROP,DUP,REORDER, rates in [0,1]). The \
      campaign still merges byte-identical; only retransmission and lease \
-     diagnostics move. Requires --jobs 2 or more, or --distributed."
+     diagnostics move. Runs on a fleet of at least 2 forked workers, \
+     whatever --jobs says."
   in
   Arg.(value & opt (some wire_chaos_conv) None & info [ "wire-chaos" ] ~docv:"RATES" ~doc)
 
-(* --- seeded I/O fault layer (inject / suite / worker) --- *)
+(* --- seeded I/O fault layer (inject / suite) --- *)
 
 let io_chaos_arg =
   let doc =
@@ -458,10 +450,10 @@ let resume_arg =
 let max_retries_arg =
   let doc =
     "Retry a trial that crashed the harness (or overran its host deadline) \
-     up to $(docv) times from a fresh boot, with exponential backoff, before \
-     quarantining it as an infrastructure failure; quarantined trials are \
-     excluded from the outcome percentages. Passing the flag enables \
-     supervision even without a journal."
+     up to $(docv) times from a fresh boot before quarantining it as an \
+     infrastructure failure; quarantined trials are excluded from the \
+     outcome percentages. Passing the flag enables supervision even without \
+     a journal."
   in
   Arg.(value & opt (some int) None & info [ "max-retries" ] ~docv:"N" ~doc)
 
@@ -536,7 +528,7 @@ let with_journal_errors f =
 let inject_cmd =
   let run arch kind n seed progress jobs trace_dir journal resume max_retries chaos
       collector_loss collector_retries fault_model targeting store store_append
-      distributed wire_chaos io_chaos io_enospc_after =
+      wire_chaos io_chaos io_enospc_after =
     arm_io_chaos ~io_chaos ~io_enospc_after;
     let cfg =
       {
@@ -561,31 +553,8 @@ let inject_cmd =
       | None -> Ferrite_trace.Tracer.telemetry_only
       | Some _ -> Ferrite_trace.Tracer.default_config
     in
-    let workers = if distributed then max 2 jobs else jobs in
-    if wire_chaos <> None && workers < 2 then begin
-      Printf.eprintf "ferrite: --wire-chaos needs --jobs 2 or more, or --distributed\n";
-      exit 2
-    end;
     let supervision =
       supervision_of ~journal ~resume ~max_retries ~chaos ~seed:cfg.Campaign.seed ~injections:n
-    in
-    (* exec'd workers are fresh processes: the fault plan must ride the argv
-       (forked workers inherit the armed state) *)
-    let exec =
-      if not distributed then None
-      else
-        let io_args =
-          match io_chaos with
-          | None -> []
-          | Some s ->
-            [ "--io-chaos"; Int64.to_string s ]
-            @ Option.fold ~none:[]
-                ~some:(fun b -> [ "--io-enospc-after"; string_of_int b ])
-                io_enospc_after
-        in
-        Some
-          ( Sys.executable_name,
-            Array.of_list ([ Sys.executable_name; "worker" ] @ io_args) )
     in
     let progress_fn ~done_ ~total =
       if progress && (done_ mod 100 = 0 || done_ = total) then
@@ -593,7 +562,7 @@ let inject_cmd =
     in
     let res, fabric_report =
       with_journal_errors (fun () ->
-          Fabric.run ~workers ?exec ?wire_chaos ~drain_on_signal:true ~progress:progress_fn
+          Fabric.run ~workers:jobs ?wire_chaos ~drain_on_signal:true ~progress:progress_fn
             ~tracer ?supervision cfg)
     in
     if progress then Printf.eprintf "\n";
@@ -616,8 +585,8 @@ let inject_cmd =
       const run $ arch_arg $ kind_arg $ count_arg $ seed_arg $ progress_arg $ jobs_arg
       $ trace_dir_arg $ journal_arg $ resume_arg $ max_retries_arg
       $ chaos_arg $ collector_loss_arg $ collector_retries_arg $ fault_model_arg
-      $ targeting_arg $ store_arg $ store_append_arg $ distributed_arg
-      $ wire_chaos_arg $ io_chaos_arg $ io_enospc_after_arg)
+      $ targeting_arg $ store_arg $ store_append_arg $ wire_chaos_arg $ io_chaos_arg
+      $ io_enospc_after_arg)
 
 (* --- matrix --- *)
 
@@ -1038,25 +1007,6 @@ let fuzz_cmd =
           oracle until the time budget runs out; shrunk reproducers land in --out-dir")
     Term.(const run $ budget_arg $ seed_arg $ out_arg)
 
-(* --- worker --- *)
-
-let worker_cmd =
-  let run io_chaos io_enospc_after =
-    arm_io_chaos ~io_chaos ~io_enospc_after;
-    (* stdout is the wire: nothing in the serve path may print to it *)
-    Fabric.Worker.serve ~input:Unix.stdin ~output:Unix.stdout ()
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Serve one campaign as a distributed-fabric worker: speak the fabric \
-          protocol over stdin/stdout until the controller says goodbye. \
-          Normally spawned by 'ferrite inject --distributed', not by hand. \
-          --io-chaos arms the same seeded fault layer the controller runs \
-          under (exec'd workers do not inherit it, so the controller passes \
-          the flag along).")
-    Term.(const run $ io_chaos_arg $ io_enospc_after_arg)
-
 (* --- disasm --- *)
 
 let disasm_cmd =
@@ -1099,4 +1049,4 @@ let () =
     Cmd.info "ferrite" ~version:"1.0.0"
       ~doc:"Error sensitivity of a miniature kernel on CISC/RISC simulators (DSN 2004 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group ~default info [ boot_cmd; profile_cmd; inject_cmd; matrix_cmd; suite_cmd; report_cmd; ablate_cmd; oops_cmd; disasm_cmd; trace_cmd; triage_cmd; fuzz_cmd; worker_cmd ]))
+  exit (Cmd.eval (Cmd.group ~default info [ boot_cmd; profile_cmd; inject_cmd; matrix_cmd; suite_cmd; report_cmd; ablate_cmd; oops_cmd; disasm_cmd; trace_cmd; triage_cmd; fuzz_cmd ]))

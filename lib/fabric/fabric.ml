@@ -3,7 +3,6 @@ module Supervisor = Ferrite_injection.Supervisor
 module Journal = Ferrite_injection.Journal
 module Crash_dump = Ferrite_injection.Crash_dump
 module Outcome = Ferrite_injection.Outcome
-module Fault_model = Ferrite_injection.Fault_model
 module Trial = Ferrite_injection.Trial
 module Tracer = Ferrite_trace.Tracer
 module Rng = Ferrite_machine.Rng
@@ -174,8 +173,7 @@ module Worker = struct
            controller clears the outstanding-steal flag *)
         Link.send st.ws_link (Wire.Steal_return { sr_lease = st_lease; sr_lo = 0; sr_hi = 0 }))
     | Wire.Bye _ -> st.ws_controller_bye <- true
-    | Wire.Hello _ | Wire.Welcome _ | Wire.Lease_request _ | Wire.Result _
-    | Wire.Steal_return _ | Wire.Heartbeat _ ->
+    | Wire.Lease_request _ | Wire.Result _ | Wire.Steal_return _ | Wire.Heartbeat _ ->
       (* controller never sends these; a confused frame is ignored, the
          protocol is built on retransmission anyway *)
       ()
@@ -229,51 +227,24 @@ module Worker = struct
     done;
     Link.send st.ws_link (Wire.Bye { bye_stats = Some (stats_of st ~cache) })
 
-  let wait_welcome dec in_io =
-    let buf = Bytes.create 65536 in
-    let rec go () =
-      match Wire.next dec with
-      | Some (Wire.Welcome w) -> w
-      | Some _ -> go ()
-      | None -> (
-        match read_some in_io buf with
-        | None -> failwith "fabric worker: controller hung up before Welcome"
-        | Some n ->
-          Wire.feed dec buf n;
-          go ())
-    in
-    go ()
-
-  let serve ?die_at ?max_leases ?(handle_signals = true) ~input ~output () =
-    ignore_sigpipe ();
+  (* The child half of {!Controller.add_worker}: the campaign arrives as
+     ordinary values inherited at [fork] — specs close over workload code, so
+     they could not travel anyway. *)
+  let serve ?die_at ?max_leases ~worker ~link ~env ~specs ~policy ~chaos ~tracer fd =
     (* SIGTERM/SIGINT mean drain, not die: finish the in-flight trial,
        flush unacked results, say Bye. A worker that must die NOW is
        SIGKILLed, and the lease-expiry/death machinery covers that. *)
     let stop = ref false in
-    if handle_signals then begin
-      let h = Sys.Signal_handle (fun _ -> stop := true) in
-      (try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ());
-      try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ()
-    end;
-    let in_io = Iofault.wrap_stream ~label:"wire-rx" input in
-    write_all
-      (Iofault.wrap_stream ~label:"wire-tx-hello" output)
-      (Wire.encode
-         (Wire.Hello { h_pid = Unix.getpid (); h_protocol = Wire.protocol_version }));
-    let dec = Wire.decoder () in
-    let w = wait_welcome dec in_io in
-    let link =
-      Link.create ?chaos:w.Wire.w_wire_chaos
-        ~seed:(link_seed ~wire_seed:w.Wire.w_wire_seed ~link_id:w.Wire.w_worker)
-        output
-    in
+    let h = Sys.Signal_handle (fun _ -> stop := true) in
+    (try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ());
+    (try Sys.set_signal Sys.sigint h with Invalid_argument _ | Sys_error _ -> ());
     let st =
       {
         ws_link = link;
-        ws_input = input;
-        ws_in_io = in_io;
-        ws_dec = dec;
-        ws_worker = w.Wire.w_worker;
+        ws_input = fd;
+        ws_in_io = Iofault.wrap_stream ~label:"wire-rx" fd;
+        ws_dec = Wire.decoder ();
+        ws_worker = worker;
         ws_cur = None;
         ws_seen = Hashtbl.create 16;
         ws_unacked = Hashtbl.create 16;
@@ -283,11 +254,7 @@ module Worker = struct
         ws_controller_bye = false;
       }
     in
-    (* everything expensive is rebuilt locally from the wire config — specs
-       close over workload code and never travel *)
-    let env = Campaign.environment w.Wire.w_config in
-    let specs = Campaign.plan w.Wire.w_config in
-    let sv = Supervisor.create ~policy:w.Wire.w_policy ~chaos:w.Wire.w_chaos () in
+    let sv = Supervisor.create ~policy ~chaos () in
     let cache = Trial.cache_create () in
     let leaving = ref false in
     let last_hb = ref (Unix.gettimeofday ()) in
@@ -311,7 +278,7 @@ module Worker = struct
              | _ -> ());
              let retried = Supervisor.retries sv in
              let record, stats, trace, dump =
-               Supervisor.run_trial sv ~trace:w.Wire.w_tracer env cache specs.(i)
+               Supervisor.run_trial sv ~trace:tracer env cache specs.(i)
              in
              incr next;
              let seq = st.ws_seq in
@@ -371,7 +338,7 @@ module Controller = struct
     c_worker : int;
     c_fd : Unix.file_descr;  (* raw fd for select *)
     c_in_io : Iofault.t;  (* the same fd, fault-routed for reads *)
-    mutable c_pid : int option;
+    c_pid : int;
     c_link : Link.t;
     c_dec : Wire.decoder;
     mutable c_alive : bool;
@@ -383,6 +350,7 @@ module Controller = struct
   type t = {
     t_cfg : Campaign.config;
     t_specs : Trial.spec array;
+    t_env : Trial.env;  (* built once here; every forked worker inherits it *)
     t_policy : Supervisor.policy;
     t_chaos : Supervisor.chaos;
     t_tracer : Tracer.config;
@@ -406,6 +374,7 @@ module Controller = struct
     mutable t_steal_returns : int;
     mutable t_expired : int;
     mutable t_deaths : int;
+    mutable t_orphaning_deaths : int;  (* deaths that held trials, not yet replaced *)
     mutable t_hung : int;
     mutable t_requeued : int;
     mutable t_left : int;
@@ -446,6 +415,7 @@ module Controller = struct
       {
         t_cfg = cfg;
         t_specs = specs;
+        t_env = Campaign.environment cfg;
         t_policy = Supervisor.validated_policy policy;
         t_chaos = chaos;
         t_tracer = Tracer.validated tracer;
@@ -469,6 +439,7 @@ module Controller = struct
         t_steal_returns = 0;
         t_expired = 0;
         t_deaths = 0;
+        t_orphaning_deaths = 0;
         t_hung = 0;
         t_requeued = 0;
         t_left = 0;
@@ -489,51 +460,14 @@ module Controller = struct
       recovery.Journal.rc_entries;
     t
 
-  let welcome t ~worker =
-    Wire.Welcome
-      {
-        Wire.w_worker = worker;
-        w_total = Array.length t.t_specs;
-        w_config = t.t_cfg;
-        w_policy = t.t_policy;
-        w_chaos = t.t_chaos;
-        w_tracer = t.t_tracer;
-        w_wire_chaos = t.t_wire_chaos;
-        w_wire_seed = t.t_wire_seed;
-      }
-
   (* Controller→worker chaos streams are salted away from the worker→
      controller ones: link id = worker for the worker's sender, worker +
      big offset for ours. *)
   let controller_link_salt = 0x10000
 
-  let register t ~fd ~pid =
+  let add_worker ?die_at ?max_leases t =
     let worker = t.t_next_worker in
     t.t_next_worker <- worker + 1;
-    let link =
-      Link.create ?chaos:t.t_wire_chaos
-        ~seed:(link_seed ~wire_seed:t.t_wire_seed ~link_id:(controller_link_salt + worker))
-        fd
-    in
-    let conn =
-      {
-        c_worker = worker;
-        c_fd = fd;
-        c_in_io = Iofault.wrap_stream ~label:"wire-rx" fd;
-        c_pid = pid;
-        c_link = link;
-        c_dec = Wire.decoder ();
-        c_alive = true;
-        c_bye = false;
-        c_last_heard = Unix.gettimeofday ();
-        c_stats = None;
-      }
-    in
-    t.t_conns <- t.t_conns @ [ conn ];
-    (try Link.send link (welcome t ~worker) with Link_dead -> conn.c_alive <- false);
-    worker
-
-  let add_worker ?die_at ?max_leases t =
     let parent_end, child_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.fork () with
     | 0 ->
@@ -541,18 +475,40 @@ module Controller = struct
          dead worker's EOF never reaches the controller *)
       Unix.close parent_end;
       List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.t_conns;
-      (try Worker.serve ?die_at ?max_leases ~input:child_end ~output:child_end ()
+      (try
+         Worker.serve ?die_at ?max_leases ~worker
+           ~link:
+             (Link.create ?chaos:t.t_wire_chaos
+                ~seed:(link_seed ~wire_seed:t.t_wire_seed ~link_id:worker)
+                child_end)
+           ~env:t.t_env ~specs:t.t_specs ~policy:t.t_policy ~chaos:t.t_chaos
+           ~tracer:t.t_tracer child_end
        with _ -> Unix._exit 2);
       Unix._exit 0
     | pid ->
       Unix.close child_end;
-      register t ~fd:parent_end ~pid:(Some pid)
-
-  let add_exec_worker t ~prog ~args =
-    let parent_end, child_end = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let pid = Unix.create_process prog args child_end child_end Unix.stderr in
-    Unix.close child_end;
-    register t ~fd:parent_end ~pid:(Some pid)
+      t.t_conns <-
+        t.t_conns
+        @ [
+            {
+              c_worker = worker;
+              c_fd = parent_end;
+              c_in_io = Iofault.wrap_stream ~label:"wire-rx" parent_end;
+              c_pid = pid;
+              c_link =
+                Link.create ?chaos:t.t_wire_chaos
+                  ~seed:
+                    (link_seed ~wire_seed:t.t_wire_seed
+                       ~link_id:(controller_link_salt + worker))
+                  parent_end;
+              c_dec = Wire.decoder ();
+              c_alive = true;
+              c_bye = false;
+              c_last_heard = Unix.gettimeofday ();
+              c_stats = None;
+            };
+          ];
+      worker
 
   (* Land one fresh entry: merge slot, journal, and the supervision tally a
      sequential run would have kept for it. *)
@@ -581,7 +537,7 @@ module Controller = struct
     in
     let record, stats, trace, dump =
       Supervisor.quarantine_entry ~trace:t.t_tracer
-        ~model:(Fault_model.validated t.t_cfg.Campaign.fault_model)
+        ~model:t.t_env.Trial.env_fault_model
         t.t_specs.(index) reasons
     in
     accept t ~retries:0
@@ -600,6 +556,8 @@ module Controller = struct
       t.t_deaths <- t.t_deaths + 1;
       let requeued = ref [] in
       let poisoned = Lease.worker_dead t.t_lease ~worker:conn.c_worker ~requeued in
+      if !requeued <> [] || poisoned <> [] then
+        t.t_orphaning_deaths <- t.t_orphaning_deaths + 1;
       t.t_requeued <- t.t_requeued + List.length !requeued;
       List.iter (quarantine t) poisoned
     end
@@ -648,10 +606,6 @@ module Controller = struct
     Lease.touch t.t_lease ~worker:conn.c_worker ~now;
     conn.c_last_heard <- now;
     match msg with
-    | Wire.Hello { h_pid; h_protocol } ->
-      if h_protocol <> Wire.protocol_version then
-        raise (Wire.Corrupt (Printf.sprintf "worker speaks protocol %d" h_protocol));
-      if conn.c_pid = None then conn.c_pid <- Some h_pid
     | Wire.Lease_request { lr_worker = _ } -> (
       match Lease.request t.t_lease ~worker:conn.c_worker ~now with
       | Lease.Grant { d_lease; d_lo; d_hi } ->
@@ -685,7 +639,7 @@ module Controller = struct
     | Wire.Heartbeat _ ->
       (* liveness only; [c_last_heard] and [Lease.touch] above did the work *)
       ()
-    | Wire.Welcome _ | Wire.Lease_grant _ | Wire.Steal _ | Wire.Ack _ ->
+    | Wire.Lease_grant _ | Wire.Steal _ | Wire.Ack _ ->
       (* workers never send these *)
       ()
 
@@ -742,31 +696,27 @@ module Controller = struct
   let completed t = Lease.completed t.t_lease
   let workers_alive t = List.length (alive_conns t)
 
-  let worker_pid t worker =
-    Option.bind (conn_of t worker) (fun c -> c.c_pid)
+  let worker_pid t worker = Option.map (fun c -> c.c_pid) (conn_of t worker)
 
   let reap t =
     List.iter
       (fun c ->
-        match c.c_pid with
-        | None -> ()
-        | Some pid ->
-          let deadline = Unix.gettimeofday () +. 2.0 in
-          let rec wait () =
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ ->
-              if Unix.gettimeofday () > deadline then begin
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                ignore (Unix.waitpid [] pid)
-              end
-              else begin
-                ignore (readable ~timeout:0.01 []);
-                wait ()
-              end
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-          in
-          wait ())
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        let rec wait () =
+          match Unix.waitpid [ Unix.WNOHANG ] c.c_pid with
+          | 0, _ ->
+            if Unix.gettimeofday () > deadline then begin
+              (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] c.c_pid)
+            end
+            else begin
+              ignore (readable ~timeout:0.01 []);
+              wait ()
+            end
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+        in
+        wait ())
       t.t_conns
 
   (* The salvage filter: on a finished campaign every entry is present; on a
@@ -805,7 +755,7 @@ module Controller = struct
           }
     in
     Campaign.merge ?supervision t.t_cfg
-      ~hot_profile:(Campaign.environment t.t_cfg).Trial.env_hot
+      ~hot_profile:t.t_env.Trial.env_hot
       ~reboots ~cache trials
 
   let missing t = Array.fold_left (fun n e -> if e = None then n + 1 else n) 0 t.t_entries
@@ -838,6 +788,32 @@ module Controller = struct
      [finish]'s loop reads. *)
   let request_drain t = t.t_draining <- true
   let draining t = t.t_draining
+
+  (* A death that orphaned or poisoned trials gets a replacement, so a trial
+     that keeps killing its owners reaches its quarantine verdict under any
+     fleet size instead of emptying the fleet first. A death that held
+     nothing (a worker failing at start-up) is not replaced: forking again
+     would only fail again, and {!finish} reports the empty fleet. *)
+  let drive ?(progress = fun ~done_:_ ~total:_ -> ()) t =
+    let total = Array.length t.t_specs in
+    let reported = ref 0 in
+    let running () = (not (finished t)) && not t.t_draining in
+    let rec loop () =
+      while t.t_orphaning_deaths > 0 do
+        t.t_orphaning_deaths <- t.t_orphaning_deaths - 1;
+        if running () then ignore (add_worker t)
+      done;
+      if running () && workers_alive t > 0 then begin
+        step t ~timeout:0.05;
+        let completed = completed t in
+        for done_ = !reported + 1 to completed do
+          progress ~done_ ~total
+        done;
+        reported := max !reported completed;
+        loop ()
+      end
+    in
+    loop ()
 
   let finish t =
     while (not (finished t)) && not t.t_draining do
@@ -885,9 +861,9 @@ let with_drain_signals t f =
   let saved = List.filter_map install [ Sys.sigterm; Sys.sigint ] in
   Fun.protect ~finally:(fun () -> List.iter (fun (s, old) -> Sys.set_signal s old) saved) f
 
-let drive ?(workers = 2) ?exec ?(drain_on_signal = false)
-    ?(progress = fun ~done_:_ ~total:_ -> ()) ?policy ?chaos ?tracer ?wire_chaos ?wire_seed
-    ?chunk ?lease_timeout ?max_worker_deaths ?heartbeat_timeout ?journal ?resume cfg =
+let drive ?(workers = 2) ?(drain_on_signal = false) ?progress ?policy ?chaos ?tracer
+    ?wire_chaos ?wire_seed ?chunk ?lease_timeout ?max_worker_deaths ?heartbeat_timeout
+    ?journal ?resume cfg =
   let workers = max 1 workers in
   let chunk =
     match chunk with
@@ -900,24 +876,9 @@ let drive ?(workers = 2) ?exec ?(drain_on_signal = false)
   in
   let go () =
     for _ = 1 to workers do
-      match exec with
-      | Some (prog, args) -> ignore (Controller.add_exec_worker t ~prog ~args)
-      | None -> ignore (Controller.add_worker t)
+      ignore (Controller.add_worker t)
     done;
-    let total = cfg.Campaign.injections in
-    let reported = ref 0 in
-    while
-      (not (Controller.finished t))
-      && (not (Controller.draining t))
-      && Controller.workers_alive t > 0
-    do
-      Controller.step t ~timeout:0.05;
-      let completed = Controller.completed t in
-      for done_ = !reported + 1 to completed do
-        progress ~done_ ~total
-      done;
-      reported := max !reported completed
-    done;
+    Controller.drive ?progress t;
     Controller.finish t
   in
   if drain_on_signal then with_drain_signals t go else go ()
@@ -934,7 +895,9 @@ let workers_for_jobs jobs =
   let cores = Domain.recommended_domain_count () in
   if jobs = 0 then cores else min jobs cores
 
-let run ?(workers = 1) ?exec ?wire_chaos ?drain_on_signal ?progress ?tracer ?supervision cfg =
+let run ?(workers = 1) ?wire_chaos ?drain_on_signal ?progress ?tracer ?supervision cfg =
+  (* wire chaos drills the links between processes, so it needs a fleet *)
+  let workers = if wire_chaos = None then workers else max 2 workers in
   if workers < 2 then (Campaign.run ?progress ?tracer ?supervision cfg, None)
   else
     let policy, chaos, journal, resume =
@@ -947,7 +910,7 @@ let run ?(workers = 1) ?exec ?wire_chaos ?drain_on_signal ?progress ?tracer ?sup
           Some sv.Campaign.sv_resume )
     in
     let result, report =
-      drive ~workers ?exec ?drain_on_signal ?progress ?policy ?chaos ?tracer ?wire_chaos
+      drive ~workers ?drain_on_signal ?progress ?policy ?chaos ?tracer ?wire_chaos
         ?journal ?resume cfg
     in
     (result, Some report)

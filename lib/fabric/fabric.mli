@@ -5,10 +5,12 @@
     dispatch): the campaign's plan → execute → merge decomposition, with
     trials executed by OS processes over stream sockets and merged by the
     same fold as a sequential run ({!Ferrite_injection.Campaign.merge}). The
-    controller owns the {!Lease} table and the merge arrays; workers own
-    everything expensive (boot, profile, trial
-    execution). Workers self-schedule by leasing trial-index chunks, steal
-    work from each other through the controller when the tail drains, may
+    controller builds the campaign once — plan and environment (compiled
+    image, profiled hot set) — and owns the {!Lease} table and the merge
+    arrays; every worker is forked from it, inherits the campaign as
+    ordinary values, and owns the expensive part: booting its machine and
+    executing trials. Workers self-schedule by leasing trial-index chunks,
+    steal work from each other through the controller when the tail drains, may
     join and leave mid-campaign, and are survived by it: a killed worker's
     in-flight chunk is re-leased, and a trial that keeps killing its owners
     is quarantined as {!Ferrite_injection.Outcome.Infrastructure_failure} —
@@ -51,28 +53,6 @@ type report = {
     convergence test asserts that records stay identical while {e only}
     these counters change. *)
 
-module Worker : sig
-  val serve :
-    ?die_at:int ->
-    ?max_leases:int ->
-    ?handle_signals:bool ->
-    input:Unix.file_descr ->
-    output:Unix.file_descr ->
-    unit ->
-    unit
-  (** Serve one campaign over a controller link ([input] and [output] may be
-      the same socket). Says [Hello], waits for the [Welcome] briefing,
-      rebuilds the plan and environment locally from the wire config, then
-      leases, executes and streams results until the controller says [Bye]
-      (or [max_leases] leases are done — the orderly mid-campaign leave).
-      Sends a {!Wire.Heartbeat} between trials so the controller can tell a
-      hung worker from a busy one. Unless [handle_signals] is [false],
-      SIGTERM/SIGINT mean {e drain}: finish the in-flight trial, flush
-      unacked results, send [Bye] with diagnostics, exit cleanly.
-      [die_at] is the crash test hook: the process exits without warning
-      just before executing that trial index. *)
-end
-
 module Controller : sig
   type t
 
@@ -90,8 +70,9 @@ module Controller : sig
     ?resume:bool ->
     Campaign.config ->
     t
-  (** A controller with no workers yet. [chunk] defaults to
-      {!Lease.chunk_size} over four workers ({!run_campaign} and {!run} pass
+  (** A controller with no workers yet. It builds the campaign's plan and
+      environment here, once, for every worker it will fork. [chunk]
+      defaults to {!Lease.chunk_size} over four workers ({!run_campaign} and {!run} pass
       the chunk for their actual worker count);
       [lease_timeout] (default 5 s) is the liveness backstop for lost
       messages and silent workers; a trial orphaned by more than
@@ -111,14 +92,19 @@ module Controller : sig
       existing journal without [resume] is replaced. *)
 
   val add_worker : ?die_at:int -> ?max_leases:int -> t -> int
-  (** Fork a worker process connected over a socketpair and brief it;
-      returns its worker id. May be called at any time — late joiners are
-      how a killed worker is replaced. *)
+  (** Fork a worker process connected over a socketpair; returns its worker
+      id. May be called at any time — late joiners are how a killed worker
+      is replaced.
 
-  val add_exec_worker : t -> prog:string -> args:string array -> int
-  (** Spawn a worker as a fresh executable (its stdin/stdout become the
-      link) — the [ferrite worker] path, one rung closer to real multi-host
-      operation than {!add_worker}'s forked address-space copy. *)
+      The child inherits the controller's plan, environment, supervision
+      policy, chaos plan and tracer config, then leases, executes and
+      streams results until the controller says [Bye] (or [max_leases]
+      leases are done — the orderly mid-campaign leave). It sends a
+      {!Wire.Heartbeat} between trials so the controller can tell a hung
+      worker from a busy one. SIGTERM/SIGINT mean {e drain}: finish the
+      in-flight trial, flush unacked results, send [Bye] with diagnostics,
+      exit cleanly. [die_at] is the crash test hook: the process exits
+      without warning just before executing that trial index. *)
 
   val step : t -> timeout:float -> unit
   (** One event-loop turn: expire stale leases, wait up to [timeout] seconds
@@ -139,6 +125,15 @@ module Controller : sig
       SIGTERM/SIGINT path. Only flips a flag; safe from a signal handler. *)
 
   val draining : t -> bool
+
+  val drive : ?progress:(done_:int -> total:int -> unit) -> t -> unit
+  (** {!step} until every trial is merged, a drain is requested, or no
+      worker is alive, forking one replacement for every worker death that
+      orphaned or poisoned trials while trials remain and no drain is
+      requested — so a poison trial is quarantined under any fleet size. A
+      death that held no lease is not replaced. [progress] observes
+      [done_] = 1, 2, …, each at most once and in order (journal-recovered
+      trials included). Follow with {!finish}. *)
 
   val finish : t -> Campaign.result * report
   (** Drive {!step} until every trial is merged, then exchange goodbyes,
@@ -177,8 +172,9 @@ val run_campaign :
   ?resume:bool ->
   Campaign.config ->
   Campaign.result * report
-(** Create a controller, fork [workers] (default 2) workers, run to
-    completion. [chunk] defaults to {!Lease.chunk_size} for [workers]. *)
+(** Create a controller, fork [workers] (default 2) workers and
+    {!Controller.drive} them to completion. [chunk] defaults to
+    {!Lease.chunk_size} for [workers]. *)
 
 val workers_for_jobs : int -> int
 (** The [--jobs N] mapping: [0] means one worker per core, and larger
@@ -188,7 +184,6 @@ val workers_for_jobs : int -> int
 
 val run :
   ?workers:int ->
-  ?exec:string * string array ->
   ?wire_chaos:Wire.wire_chaos ->
   ?drain_on_signal:bool ->
   ?progress:(done_:int -> total:int -> unit) ->
@@ -196,13 +191,12 @@ val run :
   ?supervision:Campaign.supervision ->
   Campaign.config ->
   Campaign.result * report option
-(** The one parallel dispatch. With [workers] (default 1) below 2 this is
-    [Campaign.run] and no report; otherwise a fleet of [workers] workers —
-    forked, or spawned as [exec] = [(prog, argv)] over stdin/stdout — runs
-    the campaign under [supervision]'s policy, chaos plan and journal, and
-    the result equals the sequential one (see the preamble).
-    [progress] observes [done_] = 1, 2, …, each at most once and in order
-    (journal-recovered trials included). With [drain_on_signal],
+(** The one parallel dispatch. With [workers] (default 1) below 2 and no
+    [wire_chaos] this is [Campaign.run] and no report; otherwise a fleet of
+    forked workers ({!Controller.drive}) runs the campaign under
+    [supervision]'s policy, chaos plan and journal, and the result equals
+    the sequential one (see the preamble). [wire_chaos] arms every link, so
+    it forms a fleet of at least 2 workers whatever [workers] says.
+    [progress] is {!Controller.drive}'s. With [drain_on_signal],
     SIGTERM/SIGINT drain the fleet for the campaign's duration (see
-    {!Controller.finish}). [wire_chaos] arms every link; it needs a
-    fleet. *)
+    {!Controller.finish}). *)

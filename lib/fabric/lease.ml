@@ -226,5 +226,3 @@ let completed t = t.ndone
 
 let pending_trials t =
   List.fold_left (fun n (lo, hi) -> n + incomplete_in t lo hi) 0 t.pending
-
-let live_leases t = List.map (fun l -> (l.l_id, l.l_worker, l.l_lo, l.l_hi)) t.leases

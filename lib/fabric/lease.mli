@@ -86,6 +86,3 @@ val finished : t -> bool
 val completed : t -> int
 val pending_trials : t -> int
 (** Trials neither complete nor currently leased. *)
-
-val live_leases : t -> (int * int * int * int) list
-(** [(lease, worker, lo, hi)] for every live lease, oldest first (tests). *)

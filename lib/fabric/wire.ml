@@ -1,10 +1,6 @@
 module Journal = Ferrite_injection.Journal
-module Campaign = Ferrite_injection.Campaign
-module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
 module Frame = Ferrite_iofault.Frame
-
-let protocol_version = 3
 
 type wire_chaos = { wc_drop : float; wc_dup : float; wc_reorder : float }
 
@@ -27,20 +23,7 @@ type bye_stats = {
   by_leases : int;
 }
 
-type welcome = {
-  w_worker : int;
-  w_total : int;
-  w_config : Campaign.config;
-  w_policy : Supervisor.policy;
-  w_chaos : Supervisor.chaos;
-  w_tracer : Ferrite_trace.Tracer.config;
-  w_wire_chaos : wire_chaos option;
-  w_wire_seed : int64;
-}
-
 type msg =
-  | Hello of { h_pid : int; h_protocol : int }
-  | Welcome of welcome
   | Lease_request of { lr_worker : int }
   | Lease_grant of { lg_lease : int; lg_lo : int; lg_hi : int }
   | Steal of { st_lease : int }
@@ -56,11 +39,10 @@ type msg =
   | Heartbeat of { hb_worker : int }
   | Bye of { bye_stats : bye_stats option }
 
-(* The handshake and goodbye are exempt: chaos starts only once the retry
-   machinery (lease re-request, result retransmit, lease expiry) that absorbs
-   it is live. *)
+(* The goodbye is exempt: no retry machinery re-sends it, and a worker that
+   never says it is already covered by the lease-expiry path. *)
 let chaos_eligible = function
-  | Hello _ | Welcome _ | Bye _ -> false
+  | Bye _ -> false
   | Lease_request _ | Lease_grant _ | Steal _ | Steal_return _ | Result _ | Ack _
   | Heartbeat _ ->
     true
@@ -73,13 +55,6 @@ let get_u32 = Frame.get_u32
 let encode_payload msg =
   let b = Buffer.create 64 in
   (match msg with
-  | Hello { h_pid; h_protocol } ->
-    Buffer.add_char b 'H';
-    put_u32 b h_pid;
-    put_u32 b h_protocol
-  | Welcome w ->
-    Buffer.add_char b 'W';
-    Buffer.add_string b (Marshal.to_string w [])
   | Lease_request { lr_worker } ->
     Buffer.add_char b 'L';
     put_u32 b lr_worker
@@ -131,12 +106,6 @@ let decode_payload s =
   else
     let fixed len k = if n = len + 1 then k () else None in
     match s.[0] with
-    | 'H' ->
-      fixed 8 (fun () -> Some (Hello { h_pid = get_u32 s 1; h_protocol = get_u32 s 5 }))
-    | 'W' -> (
-      match (unmarshal_from s 1 : welcome option) with
-      | Some w -> Some (Welcome w)
-      | None -> None)
     | 'L' -> fixed 4 (fun () -> Some (Lease_request { lr_worker = get_u32 s 1 }))
     | 'G' ->
       fixed 12 (fun () ->

@@ -8,17 +8,19 @@
     torn at any point recovers exactly like a torn journal tail (longest valid
     prefix, {!decode_prefix}).
 
+    Both ends of every link are processes forked from one controller, so a
+    frame never crosses a binary image: workers inherit the campaign at
+    [fork] and the wire carries only lease traffic, results and goodbyes.
+    The [Marshal]'d parts ({!Result}'s crash dump, {!Bye}'s stats) are
+    therefore always read by the build that wrote them.
+
     The codec never trusts the peer: {!decode_prefix} never raises on torn or
     corrupt input, and the incremental {!decoder} used on live links raises
     {!Corrupt} only for a {e complete} frame whose payload is undecodable —
     which on a TCP-like stream socket means a peer bug, not a torn tail. *)
 
 module Journal = Ferrite_injection.Journal
-module Campaign = Ferrite_injection.Campaign
-module Supervisor = Ferrite_injection.Supervisor
 module Crash_dump = Ferrite_injection.Crash_dump
-
-val protocol_version : int
 
 (** {2 Messages} *)
 
@@ -44,25 +46,7 @@ type bye_stats = {
     like [reboots]/[cache] of a sequential run, these never feed records or
     telemetry. *)
 
-type welcome = {
-  w_worker : int;  (** controller-assigned worker id *)
-  w_total : int;  (** campaign trial count *)
-  w_config : Campaign.config;
-      (** the full campaign config — workers re-derive the plan and
-          environment locally ({!Campaign.plan}, {!Campaign.environment});
-          trial specs themselves never cross the wire (they close over
-          workload code) *)
-  w_policy : Supervisor.policy;
-  w_chaos : Supervisor.chaos;
-  w_tracer : Ferrite_trace.Tracer.config;
-  w_wire_chaos : wire_chaos option;  (** chaos the {e worker} applies when sending *)
-  w_wire_seed : int64;  (** seed for the worker's chaos stream *)
-}
-
 type msg =
-  | Hello of { h_pid : int; h_protocol : int }
-      (** worker → controller, first message on a fresh link *)
-  | Welcome of welcome  (** controller → worker, the campaign briefing *)
   | Lease_request of { lr_worker : int }
       (** worker → controller: I am idle, grant me a chunk (idempotent —
           resent on timeout, deduplicated by the controller) *)
@@ -103,9 +87,9 @@ type msg =
 val chaos_eligible : msg -> bool
 (** Messages the chaos {!Link} may drop/duplicate/reorder: lease, steal,
     result, ack and heartbeat traffic — everything the retry protocol is
-    built to survive. {!Hello}, {!Welcome} and {!Bye} are exempt: the handshake runs
-    before any retransmission machinery exists, and a worker that dies
-    instead of saying [Bye] is already covered by the lease-expiry path. *)
+    built to survive. {!Bye} is exempt: nothing re-sends it, and a worker
+    that dies instead of saying [Bye] is already covered by the lease-expiry
+    path. *)
 
 (** {2 Codec} *)
 

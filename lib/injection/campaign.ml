@@ -138,10 +138,9 @@ let env_of cfg image hot =
     env_targeting = cfg.targeting;
   }
 
-(* Build the read-only per-process inputs of a campaign: the compiled image
-   and the profiled hot set, wrapped in a validated [Trial.env]. Pure in the
-   config, so every fabric worker process rebuilding it from the wire config
-   derives the same environment the controller (and a sequential run) uses. *)
+(* Build the read-only inputs of a campaign: the compiled image and the
+   profiled hot set, wrapped in a validated [Trial.env]. The fabric's
+   controller builds it once and its forked workers inherit it. *)
 let environment cfg =
   let image = Boot.build_image ~variant:cfg.variant cfg.arch in
   env_of cfg image (hot_profile image cfg.arch)

@@ -105,10 +105,11 @@ val plan : config -> Trial.spec array
 val environment : config -> Trial.env
 (** The campaign's read-only execution environment — compiled image, profiled
     hot set ([env_hot]), validated engine and fault model. Pure in the
-    config: a distributed worker process rebuilding it from the wire config
-    derives exactly the environment a sequential run uses, which is one half
-    of the fabric's byte-identity argument (the other is {!Trial.run}'s
-    purity in the spec). *)
+    config, and built once per campaign: by {!run}, or by the process
+    fabric's controller, whose forked workers inherit it. Every trial thus
+    runs in the environment a sequential run uses, which is one half of the
+    fabric's byte-identity argument (the other is {!Trial.run}'s purity in
+    the spec). *)
 
 val run :
   ?progress:(done_:int -> total:int -> unit) ->

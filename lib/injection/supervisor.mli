@@ -1,5 +1,5 @@
-(** Campaign supervision: crash containment, retry with exponential backoff,
-    quarantine, resume bookkeeping and chaos drills.
+(** Campaign supervision: crash containment, retry, quarantine, resume
+    bookkeeping and chaos drills.
 
     The paper's >115,000-injection campaigns only completed because the
     NFTAPE harness tolerated its own failures (watchdog-card reboots,
@@ -19,9 +19,6 @@
 
 type policy = {
   sp_max_retries : int;  (** retries after the first attempt (total attempts = 1 + this) *)
-  sp_backoff_base : float;  (** seconds before the first retry *)
-  sp_backoff_factor : float;  (** multiplier per further retry (>= 1) *)
-  sp_backoff_max : float;  (** backoff ceiling, seconds *)
   sp_host_deadline : float option;
       (** wall-clock budget per attempt. Checked after the attempt returns:
           in-simulator hangs are already bounded by the engine's step-budget
@@ -32,17 +29,13 @@ type policy = {
 }
 
 val default_policy : policy
-(** 2 retries; backoff 0.05 s × 4ᵏ capped at 1 s; no host deadline. *)
-
-val instant_policy : policy
-(** {!default_policy} with zero backoff — CI drills and tests. *)
+(** 2 retries, no host deadline. A retry starts at once: it runs from a
+    fresh boot of a deterministic simulator, so waiting would change
+    nothing. *)
 
 val validated_policy : policy -> policy
-(** Raises [Invalid_argument] on negative retries/backoff or a non-positive
+(** Raises [Invalid_argument] on negative retries or a non-positive
     deadline. *)
-
-val backoff_seconds : policy -> int -> float
-(** [backoff_seconds p k] is the pause before retry [k] (0-based). *)
 
 (** {2 Chaos drills}
 

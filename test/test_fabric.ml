@@ -51,22 +51,6 @@ let mk_entry i =
 
 (* ---------- wire codec ---------- *)
 
-let mk_welcome i =
-  {
-    Wire.w_worker = i;
-    w_total = 10 + i;
-    w_config = small_cfg (8 + i);
-    w_policy = (if i land 1 = 0 then Supervisor.default_policy else Supervisor.instant_policy);
-    w_chaos =
-      (if i land 2 = 0 then Supervisor.no_chaos
-       else Supervisor.drill_plan ~seed:7L ~injections:16);
-    w_tracer = (if i land 1 = 0 then Tracer.telemetry_only else Tracer.default_config);
-    w_wire_chaos =
-      (if i land 4 = 0 then None
-       else Some { Wire.wc_drop = 0.125; wc_dup = 0.0625; wc_reorder = 0.0625 });
-    w_wire_seed = Int64.of_int (i * 977);
-  }
-
 let mk_bye i =
   {
     Wire.by_reboots = i mod 5;
@@ -76,16 +60,14 @@ let mk_bye i =
   }
 
 (* Deterministic message zoo indexed by a small int — every constructor,
-   including marshalled briefing/result/goodbye payloads. *)
+   including marshalled result/goodbye payloads. *)
 let mk_msg i =
-  match i mod 10 with
-  | 0 -> Wire.Hello { h_pid = 17 * i; h_protocol = Wire.protocol_version }
-  | 1 -> Wire.Welcome (mk_welcome (i mod 8))
-  | 2 -> Wire.Lease_request { lr_worker = i }
-  | 3 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
-  | 4 -> Wire.Steal { st_lease = i }
-  | 5 -> Wire.Steal_return { sr_lease = i; sr_lo = i; sr_hi = i + (i mod 3) }
-  | 6 ->
+  match i mod 8 with
+  | 0 -> Wire.Lease_request { lr_worker = i }
+  | 1 -> Wire.Lease_grant { lg_lease = i; lg_lo = 3 * i; lg_hi = (3 * i) + 7 }
+  | 2 -> Wire.Steal { st_lease = i }
+  | 3 -> Wire.Steal_return { sr_lease = i; sr_lo = i; sr_hi = i + (i mod 3) }
+  | 4 ->
     Wire.Result
       {
         rs_seq = i;
@@ -94,8 +76,8 @@ let mk_msg i =
         rs_entry = mk_entry (i mod 11);
         rs_dump = None;
       }
-  | 7 -> Wire.Ack { ak_seq = i }
-  | 8 -> Wire.Heartbeat { hb_worker = i }
+  | 5 -> Wire.Ack { ak_seq = i }
+  | 6 -> Wire.Heartbeat { hb_worker = i }
   | _ -> Wire.Bye { bye_stats = (if i land 1 = 0 then None else Some (mk_bye i)) }
 
 let prop_codec_roundtrip =
@@ -392,6 +374,33 @@ let test_poison_trial_quarantined () =
         check_bool (Printf.sprintf "trial %d identical" i) true (record = ref_record))
     r.Campaign.records
 
+(* Dead workers that held trials are replaced by the drive loop, so a fleet
+   that dies out completely still finishes. Two die-at workers die in turn
+   on trial 0 (one lease spanning the campaign puts it first in line for
+   each); neither death poisons it under the default two-death allowance, and
+   the replacements the loop forks finish the campaign as if nothing
+   happened. *)
+let test_dead_fleet_replaced () =
+  let cfg = small_cfg 12 in
+  let reference = Campaign.run cfg in
+  let t = Controller.create ~chunk:12 cfg in
+  let die_alone () =
+    ignore (Controller.add_worker ~die_at:0 t);
+    let deadline = Unix.gettimeofday () +. 60.0 in
+    while Controller.workers_alive t > 0 && Unix.gettimeofday () < deadline do
+      Controller.step t ~timeout:0.05
+    done
+  in
+  die_alone ();
+  die_alone ();
+  check_int "no trial completed by the doomed fleet" 0 (Controller.completed t);
+  Controller.drive t;
+  let r, report = Controller.finish t in
+  check_int "two deaths" 2 report.fb_worker_deaths;
+  check_int "one replacement per death" 4 report.fb_workers;
+  check_int "nothing quarantined" 0 (List.length report.fb_quarantined);
+  check_identical "replaced fleet" reference r
+
 (* A worker that is alive but silent — SIGSTOPped, the moral equivalent of a
    spin loop — must be declared hung once the heartbeat deadline passes, its
    lease reclaimed and re-granted exactly once, and the campaign must still
@@ -538,6 +547,7 @@ let () =
           Alcotest.test_case "wire chaos converges" `Quick test_wire_chaos_converges;
           Alcotest.test_case "poison trial quarantined" `Quick
             test_poison_trial_quarantined;
+          Alcotest.test_case "dead fleet replaced" `Quick test_dead_fleet_replaced;
           Alcotest.test_case "hung worker declared dead" `Quick
             test_hung_worker_declared_dead;
           Alcotest.test_case "sigterm drains to a valid journal" `Quick

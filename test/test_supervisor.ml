@@ -1,6 +1,6 @@
 (* Tests for the supervision layer: journal framing and torn-tail recovery,
    checkpoint/resume (including a SIGKILL mid-run), crash containment with
-   retry/backoff and quarantine, and plan-hash binding. *)
+   retry and quarantine, and plan-hash binding. *)
 
 open Ferrite_injection
 module Image = Ferrite_kir.Image
@@ -145,7 +145,7 @@ let small_cfg injections =
   { (Campaign.default ~arch:Image.Cisc ~kind:Target.Stack ~injections) with
     Campaign.seed = 0x2004L }
 
-let supervision_with ?(policy = Supervisor.instant_policy) ?(chaos = Supervisor.no_chaos)
+let supervision_with ?(policy = Supervisor.default_policy) ?(chaos = Supervisor.no_chaos)
     ?journal ?(resume = false) () =
   {
     Campaign.sv_policy = policy;
@@ -192,9 +192,7 @@ let test_dead_trial_quarantined () =
 let test_host_deadline_overrun () =
   let cfg = small_cfg 3 in
   let policy =
-    { Supervisor.instant_policy with
-      Supervisor.sp_max_retries = 1;
-      sp_host_deadline = Some 1e-9 }
+    { Supervisor.sp_max_retries = 1; sp_host_deadline = Some 1e-9 }
   in
   let r = Campaign.run ~supervision:(supervision_with ~policy ()) cfg in
   List.iter
@@ -219,12 +217,7 @@ let test_policy_validation () =
          { Supervisor.default_policy with Supervisor.sp_host_deadline = Some 0.0 }
      with
     | exception Invalid_argument _ -> true
-    | _ -> false);
-  let p = Supervisor.default_policy in
-  check_bool "backoff grows then caps" true
-    (Supervisor.backoff_seconds p 0 = p.Supervisor.sp_backoff_base
-    && Supervisor.backoff_seconds p 1 > Supervisor.backoff_seconds p 0
-    && Supervisor.backoff_seconds p 10 = p.Supervisor.sp_backoff_max)
+    | _ -> false)
 
 (* ---------- checkpoint / resume ---------- *)
 
