@@ -522,6 +522,12 @@ let exec_shift t op size dst count =
     write_operand t size dst r
   end
 
+let signed_of size v =
+  match size with
+  | S8 -> Word.signed (Word.sign_extend8 v)
+  | S16 -> Word.signed (Word.sign_extend16 v)
+  | S32 -> Word.signed v
+
 let exec_muldiv t g size op1 =
   let m = size_mask size in
   match g with
@@ -555,22 +561,18 @@ let exec_muldiv t g size op1 =
       setf t flag_of (p lsr size_bits size <> 0))
   | Imul1 ->
     let a = read_operand t size op1 in
-    let sext v =
-      match size with
-      | S8 -> Word.signed (Word.sign_extend8 v)
-      | S16 -> Word.signed (Word.sign_extend16 v)
-      | S32 -> Word.signed v
-    in
     (match size with
     | S32 ->
-      let p = Int64.mul (Int64.of_int (sext t.regs.(eax))) (Int64.of_int (sext a)) in
+      let p =
+        Int64.mul (Int64.of_int (signed_of size t.regs.(eax))) (Int64.of_int (signed_of size a))
+      in
       t.regs.(eax) <- Int64.to_int (Int64.logand p 0xFFFFFFFFL);
       t.regs.(edx) <- Int64.to_int (Int64.logand (Int64.shift_right p 32) 0xFFFFFFFFL);
       let fits = Int64.equal p (Int64.of_int32 (Int64.to_int32 p)) in
       setf t flag_cf (not fits);
       setf t flag_of (not fits)
     | S16 | S8 ->
-      let p = sext (read_reg t size eax) * sext a in
+      let p = signed_of size (read_reg t size eax) * signed_of size a in
       write_reg t size eax p;
       write_reg t size edx (p asr size_bits size);
       let fits = p >= - (sign_bit size) && p < sign_bit size in
@@ -638,21 +640,19 @@ let string_step t size ~src ~dst =
     t.regs.(esi) <- Word.add t.regs.(esi) delta
   | false, false -> ())
 
-(* Execute up to [budget] REP iterations; x86 string instructions are
-   restartable, so a partially completed REP leaves EIP on itself. *)
-let exec_rep t size ~src ~dst ~pc =
-  let budget = 64 in
-  let rec go n =
-    if t.regs.(ecx) = 0 then ()
-    else if n = 0 then t.eip <- pc  (* resume this instruction next step *)
-    else begin
-      string_step t size ~src ~dst;
-      t.regs.(ecx) <- Word.sub t.regs.(ecx) 1;
-      Counters.idle t.counters 3;
-      go (n - 1)
-    end
-  in
-  go budget
+(* Execute up to [n] REP iterations (64 per step); x86 string instructions
+   are restartable, so a partially completed REP leaves EIP on itself. *)
+let rec exec_rep_n t size ~src ~dst ~pc n =
+  if t.regs.(ecx) = 0 then ()
+  else if n = 0 then t.eip <- pc  (* resume this instruction next step *)
+  else begin
+    string_step t size ~src ~dst;
+    t.regs.(ecx) <- Word.sub t.regs.(ecx) 1;
+    Counters.idle t.counters 3;
+    exec_rep_n t size ~src ~dst ~pc (n - 1)
+  end
+
+let exec_rep t size ~src ~dst ~pc = exec_rep_n t size ~src ~dst ~pc 64
 
 let exec t pc (d : decoded) =
   match d.insn with
@@ -863,6 +863,14 @@ let ifetch t addr =
   poison_check t addr false;
   Memory.fetch8 t.mem addr
 
+(* Whether the live bytes at [pc + k .. pc + len - 1], fetched in ascending
+   order, equal [bytes.[k .. len - 1]]. A top-level function, not a local
+   closure, so that memo-served steps allocate nothing. *)
+let rec bytes_match t bytes pc k len =
+  k >= len
+  || ifetch t (pc + k) = Char.code (Bytes.unsafe_get bytes k)
+     && bytes_match t bytes pc (k + 1) len
+
 (* Re-check a generation-stale entry for [pc] byte by byte. The bytes are
    read in ascending order through [ifetch], exactly the sequence the decoder
    would request (decoding is streaming: whether byte [k] is read depends
@@ -872,20 +880,14 @@ let ifetch t addr =
    entry's possibly-replaced page objects — so a later remap still misses. *)
 let revalidate t e pc =
   let len = e.d_dec.length in
-  let rec bytes_match k =
-    k >= len
-    || ifetch t (pc + k) = Char.code (Bytes.unsafe_get e.d_bytes k)
-       && bytes_match (k + 1)
-  in
-  bytes_match 0
+  bytes_match t e.d_bytes pc 0 len
   &&
   match Memory.page_at_opt t.mem pc with
   | None -> false
-  | Some pg1 -> (
+  | Some pg1 as first -> (
     let last = pc + len - 1 in
     let pg2 =
-      if (pc land 0xFFFFFFFF) lsr 12 = (last land 0xFFFFFFFF) lsr 12 then
-        Some pg1
+      if (pc land 0xFFFFFFFF) lsr 12 = (last land 0xFFFFFFFF) lsr 12 then first
       else Memory.page_at_opt t.mem last
     in
     match pg2 with
@@ -948,12 +950,7 @@ let decode_at t pc =
       let b0 = ifetch t pc in
       let wm = Array.unsafe_get t.wm_memo b0 in
       let len = if wm.d_pc >= 0 then wm.d_dec.length else 0 in
-      let rec matches k =
-        k >= len
-        || ifetch t (pc + k) = Char.code (Bytes.unsafe_get wm.d_bytes k)
-           && matches (k + 1)
-      in
-      if len > 0 && matches 1 then begin
+      if len > 0 && bytes_match t wm.d_bytes pc 1 len then begin
         t.dc_memo_hits <- t.dc_memo_hits + 1;
         t.last_cost <- wm.d_cost;
         wm.d_dec

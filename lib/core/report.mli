@@ -70,7 +70,12 @@ val data_geometry : unit -> string
     bytes (with more never-accessed padding) in the G4's widened layout than
     in the P4's packed one. *)
 
-type check = { ck_id : string; ck_claim : string; ck_pass : bool; ck_detail : string }
+type verdict =
+  | Pass
+  | Fail
+  | Deferred  (** too few samples at this scale to evaluate the claim *)
+
+type check = { ck_id : string; ck_claim : string; ck_verdict : verdict; ck_detail : string }
 
 val shape_checks : p4:Suite.t -> g4:Suite.t -> check list
 (** The paper's qualitative findings, evaluated against the measured data. *)

@@ -145,7 +145,8 @@ module Worker = struct
        stolen from) *)
     mutable ws_cur : (int * int ref * int ref) option;
     ws_seen : (int, unit) Hashtbl.t;  (* lease ids already accepted *)
-    ws_unacked : (int, Wire.msg) Hashtbl.t;  (* seq -> Result awaiting ack *)
+    ws_unacked : (int, float * Wire.msg) Hashtbl.t;
+        (* seq -> (time last sent, Result awaiting ack) *)
     mutable ws_seq : int;
     mutable ws_leases_done : int;
     mutable ws_retransmitted : int;
@@ -196,13 +197,22 @@ module Worker = struct
       pump ();
       true
 
+  (* Resend the results that have waited at least [heartbeat_every] since
+     they were last sent. A younger one is most likely still in flight, or
+     its ack is: on a starved host the controller can take longer than a
+     lease-request timeout to answer, and resending then only makes a
+     duplicate. *)
   let retransmit st =
+    let now = Unix.gettimeofday () in
     let pending =
-      Hashtbl.fold (fun seq m acc -> (seq, m) :: acc) st.ws_unacked []
+      Hashtbl.fold
+        (fun seq (sent, m) acc -> if now -. sent >= heartbeat_every then (seq, m) :: acc else acc)
+        st.ws_unacked []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
     List.iter
-      (fun (_, m) ->
+      (fun (seq, m) ->
+        Hashtbl.replace st.ws_unacked seq (now, m);
         st.ws_retransmitted <- st.ws_retransmitted + 1;
         Link.send st.ws_link m)
       pending
@@ -299,7 +309,7 @@ module Worker = struct
                    rs_dump = dump;
                  }
              in
-             Hashtbl.replace st.ws_unacked seq msg;
+             Hashtbl.replace st.ws_unacked seq (Unix.gettimeofday (), msg);
              Link.send st.ws_link msg;
              if !next >= !hi then begin
                st.ws_cur <- None;

@@ -45,14 +45,15 @@ let[@inline] check_exec t pc =
   | [ a ] -> a = pc
   | l -> List.mem pc l
 
+(* A top-level function, not a local closure, so that the no-hit path (every
+   load and store, armed or not) allocates nothing. *)
+let rec scan_data ws ~addr ~len ~is_write =
+  match ws with
+  | [] -> None
+  | w :: rest ->
+    if addr < w.w_addr + w.w_len && w.w_addr < addr + len then
+      Some { addr = w.w_addr; is_write }
+    else scan_data rest ~addr ~len ~is_write
+
 let[@inline] check_data t ~addr ~len ~is_write =
-  (* hand-rolled so the no-hit path (every load/store of an armed run)
-     allocates nothing *)
-  let rec scan = function
-    | [] -> None
-    | w :: rest ->
-      if addr < w.w_addr + w.w_len && w.w_addr < addr + len then
-        Some { addr = w.w_addr; is_write }
-      else scan rest
-  in
-  match t.data with [] -> None | data -> scan data
+  match t.data with [] -> None | data -> scan_data data ~addr ~len ~is_write

@@ -46,4 +46,4 @@ val check_exec : t -> int -> bool
 val check_data : t -> addr:int -> len:int -> is_write:bool -> data_hit option
 (** [check_data t ~addr ~len ~is_write] reports a hit when the access range
     [\[addr, addr+len)] overlaps an armed watchpoint. The CPU consults this
-    after each data access. *)
+    after each data access, so a miss allocates nothing. *)

@@ -485,15 +485,20 @@ let trap_fires to_ a b =
 
 let ea_update t ra addr = if ra <> 0 then t.gpr.(ra) <- addr
 
+(* The helpers [exec] calls are top-level functions, never local closures:
+   a closure over [g] would be allocated on every instruction. *)
+let[@inline] base g ra = if ra = 0 then 0 else g.(ra)
+
+let rec clz32 v i = if i = 32 then 32 else if v land (1 lsl (31 - i)) <> 0 then i else clz32 v (i + 1)
+
 let exec t pc insn =
   let g = t.gpr in
-  let base ra = if ra = 0 then 0 else g.(ra) in
   match insn with
   | Darith (op, rd, ra, simm) ->
     let v =
       match op with
-      | Addi -> Word.add (base ra) simm
-      | Addis -> Word.add (base ra) (Word.shl simm 16)
+      | Addi -> Word.add (base g ra) simm
+      | Addis -> Word.add (base g ra) (Word.shl simm 16)
       | Addic -> Word.add g.(ra) simm
       | Mulli -> Word.mul g.(ra) simm
       | Subfic -> Word.sub simm g.(ra)
@@ -512,34 +517,34 @@ let exec t pc insn =
     g.(ra) <- Word.mask v;
     (match op with Andi_rc | Andis_rc -> record_cr0 t g.(ra) | _ -> ())
   | Load (m, rd, ra, d) ->
-    let addr = Word.add (if m.update then g.(ra) else base ra) d in
+    let addr = Word.add (if m.update then g.(ra) else base g ra) d in
     let v = data_read t m.width addr in
     let v = if m.algebraic && m.width = Half then Word.sign_extend16 v else v in
     g.(rd) <- v;
     if m.update then ea_update t ra addr
   | Store (m, rs, ra, d) ->
-    let addr = Word.add (if m.update then g.(ra) else base ra) d in
+    let addr = Word.add (if m.update then g.(ra) else base g ra) d in
     data_write t m.width addr g.(rs);
     if m.update then ea_update t ra addr
   | Load_idx (m, rd, ra, rb) ->
-    let addr = Word.add (base ra) g.(rb) in
+    let addr = Word.add (base g ra) g.(rb) in
     let v = data_read t m.width addr in
     let v = if m.algebraic && m.width = Half then Word.sign_extend16 v else v in
     g.(rd) <- v;
     if m.update then ea_update t ra addr
   | Store_idx (m, rs, ra, rb) ->
-    let addr = Word.add (base ra) g.(rb) in
+    let addr = Word.add (base g ra) g.(rb) in
     data_write t m.width addr g.(rs);
     if m.update then ea_update t ra addr
   | Lmw (rd, ra, d) ->
-    let addr = ref (Word.add (base ra) d) in
+    let addr = ref (Word.add (base g ra) d) in
     check_multiword_alignment !addr;
     for r = rd to 31 do
       g.(r) <- data_read t Word !addr;
       addr := Word.add !addr 4
     done
   | Stmw (rs, ra, d) ->
-    let addr = ref (Word.add (base ra) d) in
+    let addr = ref (Word.add (base g ra) d) in
     check_multiword_alignment !addr;
     for r = rs to 31 do
       data_write t Word !addr g.(r);
@@ -652,9 +657,7 @@ let exec t pc insn =
     g.(ra) <- Word.sign_extend16 g.(rs);
     if rc then record_cr0 t g.(ra)
   | Cntlzw (ra, rs, rc) ->
-    let v = g.(rs) in
-    let rec count i = if i = 32 then 32 else if v land (1 lsl (31 - i)) <> 0 then i else count (i + 1) in
-    g.(ra) <- count 0;
+    g.(ra) <- clz32 g.(rs) 0;
     if rc then record_cr0 t g.(ra)
   | B (li, aa, lk) ->
     if lk then t.lr <- Word.add pc 4;

@@ -112,7 +112,9 @@ let test_risc_cpu_store_evicts () =
 (* Wild execution through a zero-filled page (the P4 hang shape): every pc is
    new, so after the 256-miss bypass streak each step is served by the
    content-keyed memo instead of a decode. Those steps are memo hits, a
-   sub-count of the slow-path misses, and count as served in the hit rate. *)
+   sub-count of the slow-path misses, and count as served in the hit rate.
+   A memo-served step allocates nothing: hangs spend whole watchdog budgets
+   in this march. *)
 let test_cisc_zero_march_split () =
   let module Cpu = Ferrite_cisc.Cpu in
   let mem = Memory.create () in
@@ -122,11 +124,20 @@ let test_cisc_zero_march_split () =
   cpu.Cpu.eip <- code_base;
   (* 00 00 = add [eax], al: a two-byte instruction storing into the data page *)
   cpu.Cpu.regs.(Cpu.eax) <- 0xC0200000;
-  for _ = 1 to 1000 do
-    match Cpu.step cpu with
-    | Cpu.Retired -> ()
-    | _ -> Alcotest.fail "the zero march stopped"
-  done;
+  let march n =
+    for _ = 1 to n do
+      match Cpu.step cpu with
+      | Cpu.Retired -> ()
+      | _ -> Alcotest.fail "the zero march stopped"
+    done
+  in
+  march 300;
+  let words0 = Gc.minor_words () in
+  march 700;
+  let words_per_step = (Gc.minor_words () -. words0) /. 700.0 in
+  check_bool
+    (Printf.sprintf "memo-served steps allocate nothing (%.3f words/step)" words_per_step)
+    true (words_per_step < 0.01);
   check_int "marched two bytes a step" (code_base + 2000) cpu.Cpu.eip;
   let hits, misses = Cpu.decode_cache_stats cpu in
   let memo, reval = Cpu.decode_service_stats cpu in

@@ -116,9 +116,22 @@ let test_shape_checks_structure () =
     checks;
   (* the structural invariants that hold even at tiny scale *)
   let find id = List.find (fun c -> c.Ferrite.Report.ck_id = id) checks in
-  check_bool "g4-stack-overflow" true (find "g4-stack-overflow").Ferrite.Report.ck_pass;
+  check_bool "g4-stack-overflow" true
+    ((find "g4-stack-overflow").Ferrite.Report.ck_verdict = Ferrite.Report.Pass);
   check_bool "rendering works" true
     (contains (Ferrite.Report.render_checks checks) "checks hold")
+
+(* A deferred check was not evaluated, so it does not count as holding. *)
+let test_deferred_check_not_counted () =
+  let ck ck_id ck_verdict =
+    { Ferrite.Report.ck_id; ck_claim = "claim"; ck_verdict; ck_detail = "detail" }
+  in
+  let text =
+    Ferrite.Report.render_checks
+      Ferrite.Report.[ ck "a" Pass; ck "b" Deferred; ck "c" Fail ]
+  in
+  check_bool "only PASS counts" true (contains text "1/3 checks hold (1 deferred)");
+  check_bool "deferred is labelled" true (contains text "[DEFERRED] b")
 
 let test_cause_distribution_ordering () =
   let p4 = Lazy.force p4_suite in
@@ -151,6 +164,8 @@ let () =
           Alcotest.test_case "tables 5/6" `Quick test_tables_5_6_render;
           Alcotest.test_case "figures" `Quick test_figures_render;
           Alcotest.test_case "shape checks" `Quick test_shape_checks_structure;
+          Alcotest.test_case "deferred checks do not hold" `Quick
+            test_deferred_check_not_counted;
           Alcotest.test_case "cause ordering" `Quick test_cause_distribution_ordering;
         ] );
     ]
